@@ -1,7 +1,7 @@
 """E11 — Sharded parallel execution: determinism parity and speedup.
 
 The sharded engine (``repro.sim.shard``) splits the cluster across
-worker processes synchronised by conservative time windows.  Its whole
+worker processes synchronised at pairwise rendezvous.  Its whole
 value rests on one claim: **the shard count is invisible in the
 simulation's results**.  This benchmark runs the cluster-scale protocol
 scenario twice — ``shards=1`` on the serial reference executor and
@@ -19,7 +19,7 @@ process generators cannot cross a fork boundary).
 
 Wires are 1 ms here (vs 100 us in the classic scenario): the minimum
 wire latency is the conservative lookahead, and a 10x bigger window
-amortises each barrier over ~10x more events — the knob that makes
+amortises each rendezvous over ~10x more events — the knob that makes
 parallelism pay.
 """
 
@@ -56,10 +56,8 @@ class ShardBenchParams:
     duration: int
     latency: int = 1_000  #: wire latency == conservative lookahead
     topology: str = "torus"  #: SystemConfig topology shape
-    #: two-level window grid: pairs exchange at their own cadence
-    barrier_elision: bool = False
     #: slow-tier wire latency (torus verticals + column wraps); the
-    #: gap between this and `latency` is what elision harvests
+    #: gap between this and `latency` is what the pair cadence harvests
     backbone_latency: int | None = None
 
 
@@ -108,10 +106,10 @@ SMOKE = ShardBenchParams(
     duration=700_000,
 )
 
-#: the FULL scenario with barrier elision on a two-tier torus: local
-#: wires 1 ms, inter-row backbone 4 ms, so each shard pair's exchange
-#: cadence is 4 grid windows and only the 4 wire-connected pairs of
-#: the row-band ring rendezvous at all (vs 6 all-pairs).
+#: the FULL scenario on a two-tier torus: local wires 1 ms, inter-row
+#: backbone 4 ms, so each shard pair's exchange cadence is 4 grid
+#: windows and only the 4 wire-connected pairs of the row-band ring
+#: rendezvous at all (vs 6 all-pairs).
 ELIDE = ShardBenchParams(
     name="e11_shards_elide",
     machines=256,
@@ -123,15 +121,13 @@ ELIDE = ShardBenchParams(
     compute_work=40_000,
     server_moves=32,
     duration=1_500_000,
-    barrier_elision=True,
     backbone_latency=4_000,
 )
 
-#: elision on the dense uniform-latency mesh: every shard pair is
-#: wire-connected and the pair period degenerates to the window grid,
-#: so there is nothing to elide — this arm proves the keyed-loop
-#: schedule is *still* byte-identical to the classic engine when the
-#: rendezvous cadence buys nothing.
+#: the dense uniform-latency mesh: every shard pair is wire-connected
+#: and the pair period degenerates to the window grid, so there is
+#: little to elide — this arm proves the schedule is *still*
+#: byte-identical across shard counts when the cadence buys nothing.
 MESH_ELIDE = ShardBenchParams(
     name="e11_shards_mesh_elide",
     machines=64,
@@ -144,11 +140,10 @@ MESH_ELIDE = ShardBenchParams(
     server_moves=32,
     duration=1_200_000,
     topology="mesh",
-    barrier_elision=True,
 )
 
-#: CI `elision-smoke`: 4x4 two-tier torus, one row per shard, same
-#: gates as the full elision arm at 1/16th the size
+#: CI `cadence-smoke`: 4x4 two-tier torus, one row per shard, same
+#: gates as the full two-tier arm at 1/16th the size
 ELIDE_SMOKE = ShardBenchParams(
     name="e11_shards_elide_smoke",
     machines=16,
@@ -160,13 +155,12 @@ ELIDE_SMOKE = ShardBenchParams(
     compute_work=40_000,
     server_moves=4,
     duration=700_000,
-    barrier_elision=True,
     backbone_latency=4_000,
 )
 
 #: run-ahead headline: the ELIDE scenario swept across shards
 #: {1, 2, 4, 8} — the wall-clock curve of the dynamic rendezvous
-#: schedule, with the static per-period cadence as the rounds baseline
+#: schedule
 RUNAHEAD = ShardBenchParams(
     name="e11_shards_runahead",
     machines=256,
@@ -178,11 +172,10 @@ RUNAHEAD = ShardBenchParams(
     compute_work=40_000,
     server_moves=32,
     duration=1_500_000,
-    barrier_elision=True,
     backbone_latency=4_000,
 )
 
-#: CI `runahead-smoke`: the elision smoke shape swept across
+#: CI `runahead-smoke`: the two-tier smoke shape swept across
 #: shards {1, 2, 4}, same parity and rounds gates
 RUNAHEAD_SMOKE = ShardBenchParams(
     name="e11_shards_runahead_smoke",
@@ -195,7 +188,6 @@ RUNAHEAD_SMOKE = ShardBenchParams(
     compute_work=40_000,
     server_moves=4,
     duration=700_000,
-    barrier_elision=True,
     backbone_latency=4_000,
 )
 
@@ -221,7 +213,6 @@ def run_sharded_cluster(p: ShardBenchParams, shards: int, executor: str):
         topology=p.topology,
         latency=p.latency,
         shards=shards,
-        barrier_elision=p.barrier_elision,
         backbone_latency=p.backbone_latency,
         trace_categories=(),  # tracing off: measure the bare hot path
         metrics_enabled=False,  # plain integer counters only
@@ -362,24 +353,32 @@ def run_sharded_cluster(p: ShardBenchParams, shards: int, executor: str):
     return merged, sync, events, wall
 
 
-def _parity_and_report(p: ShardBenchParams) -> None:
-    reference, _, ref_events, ref_wall = run_sharded_cluster(
-        p, 1, "serial",
-    )
-    sharded, _, sh_events, sh_wall = run_sharded_cluster(
-        p, p.shards, "fork",
-    )
+def _sharded_arms(p: ShardBenchParams, shard_counts):
+    """Run *p* at every shard count (shards=1 serial, the rest forked)
+    and gate each arm against the shards=1 reference bit for bit."""
+    arms = {}
+    for n in shard_counts:
+        executor = "serial" if n == 1 else "fork"
+        arms[n] = run_sharded_cluster(p, n, executor)
+    reference, _, ref_events, _ = arms[min(shard_counts)]
+    for n, (merged, _, events, _) in arms.items():
+        assert merged == reference, (
+            f"shards={n} diverged from the shards=1 reference: "
+            + str({
+                key: (reference[key], merged[key])
+                for key in reference
+                if reference[key] != merged.get(key)
+            })
+        )
+        assert events == ref_events, (n, events, ref_events)
+    return arms
 
+
+def _parity_and_report(p: ShardBenchParams) -> None:
     # THE gate: the shard count must be invisible in every counter.
-    assert sharded == reference, (
-        "sharded run diverged from the serial reference: "
-        + str({
-            key: (reference[key], sharded[key])
-            for key in reference
-            if reference[key] != sharded.get(key)
-        })
-    )
-    assert sh_events == ref_events
+    arms = _sharded_arms(p, (1, p.shards))
+    reference, _, ref_events, ref_wall = arms[1]
+    _, _, sh_events, sh_wall = arms[p.shards]
 
     # Wall clock is meta only: speedup needs actual cores.  On a
     # single-core host the workers time-slice and the ratio reads as
@@ -431,93 +430,35 @@ def _parity_and_report(p: ShardBenchParams) -> None:
 
 
 def _elide_and_report(p: ShardBenchParams) -> None:
-    """Elision gates: parity across shard counts AND engines, plus the
-    sync-overhead reductions the rendezvous schedule exists for."""
-    import dataclasses
-
-    classic = dataclasses.replace(p, barrier_elision=False)
-    reference, _, ref_events, ref_wall = run_sharded_cluster(
-        classic, 1, "serial",
-    )
-    classic_sharded, classic_sync, cl_events, cl_wall = (
-        run_sharded_cluster(classic, p.shards, "fork")
-    )
-
+    """Pair-cadence gates: parity across shard counts, plus the sync
+    overhead of the rendezvous schedule, pinned exactly."""
     shard_counts = sorted({1, 2, p.shards})
-    arms = {}
-    elide_walls = {}
-    for n in shard_counts:
-        executor = "serial" if n == 1 else "fork"
-        merged, sync, events, wall = run_sharded_cluster(p, n, executor)
-        arms[n] = (merged, sync, events)
-        elide_walls[n] = wall
-
-    def diffed(other):
-        return {
-            key: (reference[key], other[key])
-            for key in reference
-            if reference[key] != other.get(key)
-        }
-
-    # Gate 1 — the classic determinism bar, unchanged.
-    assert classic_sharded == reference, (
-        "classic sharded diverged: " + str(diffed(classic_sharded))
-    )
-    assert cl_events == ref_events
-    # Gate 2 — elision is unobservable: every elided arm matches the
-    # classic reference bit for bit, counters and event counts alike.
-    for n, (merged, _, events) in arms.items():
-        assert merged == reference, (
-            f"elided shards={n} diverged from the classic reference: "
-            + str(diffed(merged))
-        )
-        assert events == ref_events, (n, events, ref_events)
-
-    elided_sync = arms[p.shards][1]
+    arms = _sharded_arms(p, shard_counts)
+    reference, _, ref_events, ref_wall = arms[1]
+    _, sync, _, wall = arms[p.shards]
     if p.backbone_latency is not None:
-        # Gate 3 — the point of the exercise: on a two-tier topology
-        # the rendezvous schedule must cut barrier rounds >= 3x and
-        # ship fewer bytes, while actually skipping grid windows.
-        round_ratio = classic_sync["rounds"] / max(
-            elided_sync["rounds"], 1,
-        )
-        assert round_ratio >= 3.0, (
-            f"barrier rounds only improved {round_ratio:.2f}x "
-            f"({classic_sync['rounds']} -> {elided_sync['rounds']})"
-        )
-        assert elided_sync["bytes_sent"] < classic_sync["bytes_sent"]
-        assert elided_sync["windows_elided"] > 0
-    else:
-        round_ratio = classic_sync["rounds"] / max(
-            elided_sync["rounds"], 1,
-        )
+        # On a two-tier topology the schedule must actually skip grid
+        # windows between rendezvous.
+        assert sync["windows_elided"] > 0
 
     print_table(
         f"E11: barrier elision ({p.machines} machines, "
         f"{p.shards} shards, backbone "
         f"{p.backbone_latency or p.latency}us)",
-        ["metric", "classic", "elided"],
-        [
-            [key, classic_sync[key], elided_sync[key]]
-            for key in classic_sync
-        ]
+        ["metric", "value"],
+        [[key, value] for key, value in sync.items()]
         + [
-            ["barrier round ratio", "", f"{round_ratio:.2f}x"],
-            ["events_fired (gated)", ref_events, arms[p.shards][2]],
-            [f"fork x{p.shards} wall s (not gated)",
-             f"{cl_wall:.2f}", f"{elide_walls[p.shards]:.2f}"],
+            ["events_fired (gated)", ref_events],
+            [f"fork x{p.shards} wall s (not gated)", f"{wall:.2f}"],
         ],
         notes=f"all counters byte-identical across shards "
-              f"{shard_counts} elided AND vs the classic engine; "
-              "sync overhead gated exactly",
+              f"{shard_counts}; sync overhead gated exactly",
     )
     write_bench_artifact(
         p.name,
         {
             **reference,
-            **{f"classic_sync_{k}": v for k, v in classic_sync.items()
-               if k != "windows_elided"},
-            **{f"elided_sync_{k}": v for k, v in elided_sync.items()},
+            **{f"elided_sync_{k}": v for k, v in sync.items()},
         },
         meta={
             "machines": p.machines,
@@ -527,17 +468,13 @@ def _elide_and_report(p: ShardBenchParams) -> None:
             "lookahead_us": p.latency,
             "backbone_latency_us": p.backbone_latency,
             "events_fired": ref_events,
-            "barrier_round_ratio": round(round_ratio, 2),
             "serial_wall_seconds": round(ref_wall, 3),
-            "classic_fork_wall_seconds": round(cl_wall, 3),
-            "elided_fork_wall_seconds": round(
-                elide_walls[p.shards], 3,
-            ),
+            "elided_fork_wall_seconds": round(wall, 3),
             "cpu_count": os.cpu_count(),
             "paper": "records carry their grid window, so shard pairs "
                      "can exchange at their wire latency's cadence "
-                     "instead of every window — fewer, fatter barriers "
-                     "with bit-identical results",
+                     "instead of every window — fewer, fatter "
+                     "rendezvous with bit-identical results",
         },
     )
     assert reference["pingers_done"] == p.machines * p.pingers_per_server
@@ -548,64 +485,15 @@ def _runahead_and_report(
     p: ShardBenchParams,
     shard_counts: tuple[int, ...],
     speedup_floor: float | None,
-    ratio_floor: float,
 ) -> None:
-    """Run-ahead gates: every shard count lands on the classic
-    reference bit for bit, the dynamic schedule beats the classic
-    engine's barrier rounds by at least *ratio_floor* while shipping
-    fewer bytes, and — when the host has the cores — the wall-clock
-    curve actually bends down."""
-    import dataclasses
-
-    from repro.sim.barrier import rendezvous_schedule
-
-    classic = dataclasses.replace(p, barrier_elision=False)
-    reference, _, ref_events, _ = run_sharded_cluster(classic, 1, "serial")
-    # The classic engine at the curve's shared point (4 shards is in
-    # every arm's sweep): the denominator of the round-reduction gate.
-    _, classic_sync, cl_events, _ = run_sharded_cluster(
-        classic, 4, "fork",
-    )
-    assert cl_events == ref_events
-
-    walls: dict[int, float] = {}
-    syncs: dict[int, dict] = {}
-    for n in shard_counts:
-        executor = "serial" if n == 1 else "fork"
-        merged, sync, events, wall = run_sharded_cluster(p, n, executor)
-        assert merged == reference, (
-            f"run-ahead shards={n} diverged from the classic "
-            f"reference: " + str({
-                key: (reference[key], merged[key])
-                for key in reference
-                if reference[key] != merged.get(key)
-            })
-        )
-        assert events == ref_events, (n, events, ref_events)
-        walls[n] = wall
-        syncs[n] = sync
-
+    """Run-ahead gates: every shard count lands on the shards=1
+    reference bit for bit, rounds and bytes are pinned exactly, and —
+    when the host has the cores — the wall-clock curve bends down."""
+    arms = _sharded_arms(p, shard_counts)
+    reference, _, ref_events, _ = arms[1]
+    walls = {n: arm[3] for n, arm in arms.items()}
+    syncs = {n: arm[1] for n, arm in arms.items()}
     top = max(shard_counts)
-    # The static cadence (the previous elision engine's schedule) is
-    # the horizon-phase upper bound the dynamic scheduler only ever
-    # skips forward from; reported for reference — the measured rounds
-    # additionally include the all-pairs drain phase.
-    plan = ShardedSystem(SystemConfig(
-        machines=p.machines, topology=p.topology, latency=p.latency,
-        shards=top, barrier_elision=True,
-        backbone_latency=p.backbone_latency,
-        trace_categories=(), metrics_enabled=False,
-    )).plan
-    static_rounds = 2 * len(
-        rendezvous_schedule(plan.pair_periods, p.duration)
-    )
-    round_ratio = classic_sync["rounds"] / max(syncs[4]["rounds"], 1)
-    assert round_ratio >= ratio_floor, (
-        f"barrier rounds only improved {round_ratio:.2f}x at shards=4 "
-        f"({classic_sync['rounds']} -> {syncs[4]['rounds']}), floor "
-        f"{ratio_floor}x"
-    )
-    assert syncs[4]["bytes_sent"] < classic_sync["bytes_sent"]
     assert syncs[top]["windows_elided"] > 0
 
     cores = os.cpu_count() or 1
@@ -625,17 +513,10 @@ def _runahead_and_report(
         f"{list(shard_counts)}, backbone {p.backbone_latency}us)",
         ["metric", "value"],
         [
-            ["classic sync rounds x4 (gated)", classic_sync["rounds"]],
-        ]
-        + [
             [f"sync rounds x{n} (gated)", syncs[n]["rounds"]]
             for n in shard_counts if n > 1
         ]
-        + [
-            ["barrier round ratio x4", f"{round_ratio:.2f}x"],
-            [f"static-cadence rounds x{top} (gated)", static_rounds],
-            ["events_fired (gated)", ref_events],
-        ]
+        + [["events_fired (gated)", ref_events]]
         + [
             [f"wall s x{n} (not gated)", f"{walls[n]:.2f}"]
             for n in shard_counts
@@ -645,15 +526,13 @@ def _runahead_and_report(
             for n, s in speedups.items()
         ],
         notes=f"all counters byte-identical across shards "
-              f"{list(shard_counts)} and vs the classic engine; "
+              f"{list(shard_counts)}; "
               f"wall clock honest for cpu_count={cores}",
     )
     write_bench_artifact(
         p.name,
         {
             **reference,
-            **{f"classic_sync_{k}": v for k, v in classic_sync.items()
-               if k != "windows_elided"},
             **{
                 f"runahead_sync_rounds_x{n}": syncs[n]["rounds"]
                 for n in shard_counts if n > 1
@@ -664,7 +543,6 @@ def _runahead_and_report(
             },
             f"runahead_windows_elided_x{top}":
                 syncs[top]["windows_elided"],
-            f"static_cadence_rounds_x{top}": static_rounds,
         },
         meta={
             "machines": p.machines,
@@ -673,7 +551,6 @@ def _runahead_and_report(
             "lookahead_us": p.latency,
             "backbone_latency_us": p.backbone_latency,
             "events_fired": ref_events,
-            "barrier_round_ratio_x4": round(round_ratio, 2),
             "cpu_count": cores,
             **{
                 f"wall_seconds_x{n}": round(walls[n], 3)
@@ -722,10 +599,8 @@ def test_e11_shards_elide_smoke(bench_once):
 
 
 def test_e11_shards_runahead(bench_once):
-    # 4.21x was the static elision engine's round reduction on this
-    # scenario; the dynamic schedule must land beyond it.
-    bench_once(_runahead_and_report, RUNAHEAD, (1, 2, 4, 8), 1.5, 4.21)
+    bench_once(_runahead_and_report, RUNAHEAD, (1, 2, 4, 8), 1.5)
 
 
 def test_e11_shards_runahead_smoke(bench_once):
-    bench_once(_runahead_and_report, RUNAHEAD_SMOKE, (1, 2, 4), None, 3.0)
+    bench_once(_runahead_and_report, RUNAHEAD_SMOKE, (1, 2, 4), None)

@@ -143,18 +143,16 @@ def _report_sharded(args: argparse.Namespace) -> int:
     """The ``report`` scenario on the sharded engine (``--shards N``).
 
     Machines pair up as echo servers and pingers on a torus; the
-    cluster executes in conservative windows across N shards and the
-    printed report is the merged per-shard snapshot — identical numbers
-    for every shard count.
+    cluster runs ahead across N shards between pairwise rendezvous and
+    the printed report is the merged per-shard snapshot — identical
+    protocol numbers for every shard count.
     """
     from repro.sim.shard import ShardedSystem
-    from repro.stats.collector import collect_sharded_report
     from repro.workloads.pingpong import echo_server, pinger
     from repro.workloads.results import ResultsBoard
 
     system = ShardedSystem(SystemConfig(
         machines=args.machines, topology="torus", shards=args.shards,
-        barrier_elision=args.elide,
         backbone_latency=args.backbone_latency,
     ))
     boards = [ResultsBoard() for _ in system.shards]
@@ -176,7 +174,7 @@ def _report_sharded(args: argparse.Namespace) -> int:
         )
     system.run(until=2_000_000)
     system.drain()
-    report = collect_sharded_report(system)
+    report = collect_report(system)
     if args.json:
         document = metrics_snapshot_dict(
             system.snapshot(),
@@ -187,8 +185,7 @@ def _report_sharded(args: argparse.Namespace) -> int:
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
     print(f"sharded execution: {len(system.shards)} shards, "
-          f"lookahead {system.plan.lookahead}us"
-          + (", barrier elision on" if args.elide else ""))
+          f"lookahead {system.plan.lookahead}us")
     for line in report.lines():
         print(line)
     return 0
@@ -471,11 +468,6 @@ def main(argv: list[str] | None = None) -> int:
         "--shards", type=int, default=1,
         help="run the cluster across N parallel execution shards "
              "(>1 selects the sharded engine on a torus; default: 1)",
-    )
-    report.add_argument(
-        "--elide", action="store_true",
-        help="with --shards: decouple barrier cadence from the window "
-             "grid (pairs rendezvous only every min-pair-latency)",
     )
     report.add_argument(
         "--backbone-latency", type=int, default=None,

@@ -597,7 +597,7 @@ def _run_storm_once(
         ),
         "forwarding_entries": sum(len(k.forwarding) for k in kernels),
         "packets_sent": sum(
-            shard.network.stats.packets_sent for shard in system.shards
+            network.stats.packets_sent for network in system.networks()
         ),
     }
     for kind, count in sorted(engine.counts.items()):
@@ -674,8 +674,9 @@ def _run_crash_parity_once(
     ``shards=0`` builds the classic single-loop :class:`System`;
     anything else builds a :class:`ShardedSystem`.  The schedule is a
     storm that pushes servers onto doomed machines, then grid-aligned
-    fail-stop crashes of those machines — the barrier-action path on
-    the sharded engine, the ``loop.call_at`` path on the classic one.
+    fail-stop crashes of those machines, all through
+    ``call_at_barrier`` (a barrier action on the sharded engine, a
+    ``loop.call_at`` on the classic one).
     """
     # The storm's migrations take ~27ms each (process image over a
     # 1,000 bytes/ms wire); the crashes wait until the servers have
@@ -737,24 +738,15 @@ def _run_crash_parity_once(
                 machine=_c, name=f"pinger-{_j}",
             )
 
-        if shards:
-            system.call_at(at, client, spawn)
-        else:
-            system.loop.call_at(at, spawn)
+        system.call_at(at, client, spawn)
 
     problems: list[str] = []
     if shards:
         system.drain()
-        kernels = system.kernels_in_machine_order()
-        packets = sum(
-            shard.network.stats.packets_sent for shard in system.shards
-        )
-    else:
-        fired = system.run(max_events=MAX_EVENTS)
-        if fired >= MAX_EVENTS:
-            raise RuntimeError("crash-parity run did not quiesce")
-        kernels = list(system.kernels)
-        packets = system.network.stats.packets_sent
+    elif system.run(max_events=MAX_EVENTS) >= MAX_EVENTS:
+        raise RuntimeError("crash-parity run did not quiesce")
+    kernels = system.kernels_in_machine_order()
+    packets = sum(n.stats.packets_sent for n in system.networks())
 
     counters = {
         "processes_spawned": sum(
@@ -808,7 +800,8 @@ def run_crash_parity_scenario(scale: str = "smoke") -> ScenarioOutcome:
     """Fail-stop crashes under traffic, byte-identical on every engine.
 
     The classic engine interprets crash times with ``loop.call_at``;
-    the sharded engine fires them as barrier actions between windows.
+    the sharded engine fires them as barrier actions, every shard
+    stopped at the crash tick.
     Both must produce the same counters and the same fault ledger for
     every shard count — the sharded-crash parity argument, gated.
     """

@@ -11,17 +11,16 @@ the property the campaign gates and the Hypothesis suite fuzzes.
 Sharded systems get the shard-safe subset (storms, fail-stop crashes,
 evacuations).  Crashes and maintenance kills are *global* actions — the
 recovery sequence mutates several shards at once — so the engine
-schedules them through
-:meth:`~repro.sim.shard.ShardedSystem.call_at_barrier`: they become
-barrier-aligned records, fired between windows in pure-data key order
-(kind, machine, executor), with every shard clock frozen at the crash
-instant.  That requires their times to sit on the window grid and to be
-unique among the scenario's action times — the classic engine runs a
-crash first at its tick because it is scheduled at install time (lowest
-sequence number), and the barrier engine runs it before the window that
-contains it; distinct times keep the two orderings identical, which the
-crash-parity gates check byte for byte.  Partitions and flaky windows
-stay classic-only (they rewrite wire fault plans retroactively, which
+schedules them through ``call_at_barrier``: on the sharded engine they
+fire with every shard stopped and its clock frozen at the crash
+instant, in pure-data key order (kind, machine, executor).  That
+requires their times to sit on the window grid and to be unique among
+the scenario's action times — the single-loop engine runs a crash first
+at its tick because it is scheduled at install time (lowest sequence
+number), and the sharded engine runs it before any event at that tick;
+distinct times keep the two orderings identical, which the crash-parity
+gates check byte for byte.  Partitions and flaky windows stay
+single-loop only (they rewrite wire fault plans retroactively, which
 :class:`~repro.net.network.ShardNetwork` refuses by design).  The
 ledger is kept in the driving process, so sharded scenarios must run
 under the serial executor (the same constraint as cross-shard live
@@ -80,16 +79,16 @@ class ChaosEngine:
     ) -> None:
         self.system = system
         self.scenario = scenario
-        self.sharded = hasattr(system, "shards")
+        sharded = hasattr(system, "shards")
         scenario.validate(len(system.topology.machines))
-        if self.sharded and not scenario.shard_safe:
+        if sharded and not scenario.shard_safe:
             raise SimulationError(
                 f"scenario {scenario.name!r} uses actions that rewrite "
                 f"wire fault plans (partition/flaky links), which the "
                 f"sharded network refuses; storms, crashes and "
                 f"evacuations run under sharding"
             )
-        if self.sharded:
+        if sharded:
             self._check_sharded_schedule()
         if recovery is None:
             recovery = CrashRecoveryManager(system)
@@ -133,8 +132,8 @@ class ChaosEngine:
                 raise SimulationError(
                     f"{what} at t={at} collides with another action's "
                     f"time; sharded crash times must be unique so the "
-                    f"classic and barrier engines order same-tick work "
-                    f"identically"
+                    f"single-loop and sharded engines order same-tick "
+                    f"work identically"
                 )
             seen.add(at)
 
@@ -145,16 +144,12 @@ class ChaosEngine:
         self.installed = True
         for action in self.scenario.actions:
             if isinstance(action, CrashMachine):
-                if self.sharded:
-                    self._at_barrier(
-                        action.at,
-                        ("crash", action.machine, action.executor),
-                        self._crash, action,
-                    )
-                else:
-                    self._at(
-                        action.at, action.machine, self._crash, action
-                    )
+                self.system.call_at_barrier(
+                    action.at,
+                    ("crash", action.machine, action.executor),
+                    self._crash,
+                    action,
+                )
             elif isinstance(action, Partition):
                 self._at(action.at, 0, self._partition, action)
                 self._at(action.heal_at, 0, self._heal, action)
@@ -170,33 +165,18 @@ class ChaosEngine:
             elif isinstance(action, Evacuation):
                 self._at(action.drain_at, action.machine, self._drain,
                          action)
-                if self.sharded:
-                    self._at_barrier(
-                        action.kill_at,
-                        (
-                            "maintenance-kill", action.machine,
-                            action.executor,
-                        ),
-                        self._kill, action,
-                    )
-                else:
-                    self._at(action.kill_at, action.executor, self._kill,
-                             action)
+                self.system.call_at_barrier(
+                    action.kill_at,
+                    ("maintenance-kill", action.machine, action.executor),
+                    self._kill,
+                    action,
+                )
 
     def _at(
         self, time: int, machine: MachineId, callback, *args: Any
     ) -> None:
         """Schedule *callback* at *time*, anchored to *machine*'s loop."""
-        if self.sharded:
-            self.system.call_at(time, machine, callback, *args)
-        else:
-            self.system.loop.call_at(time, callback, *args)
-
-    def _at_barrier(
-        self, time: int, key: tuple, callback, *args: Any
-    ) -> None:
-        """Schedule a global action at a window barrier (sharded only)."""
-        self.system.call_at_barrier(time, key, callback, *args)
+        self.system.call_at(time, machine, callback, *args)
 
     # ------------------------------------------------------------------
     # Ledger
@@ -214,17 +194,12 @@ class ChaosEngine:
     def _record(self, at: int, kind: str, detail: str) -> None:
         self.events.append(FaultEvent(at, kind, detail))
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        self._metrics_for_record().counter(
+        # Always charge machine 0's registry so merged counters are
+        # shard-layout independent (the ledger, not the charge site,
+        # carries the machine information).
+        self.system.metrics_for(0).counter(
             "chaos.faults", kind=kind, scenario=self.scenario.name,
         ).inc()
-
-    def _metrics_for_record(self):
-        if self.sharded:
-            # Charge shard 0 so merged counters are shard-layout
-            # independent (the ledger, not the charge site, carries
-            # the machine information).
-            return self.system.shards[0].metrics
-        return self.system.metrics
 
     # ------------------------------------------------------------------
     # Actions

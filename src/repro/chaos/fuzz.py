@@ -450,10 +450,7 @@ def _run_once(
                 machine=_c, name=f"pinger-{_j}",
             )
 
-        if shards:
-            system.call_at(at, client, spawn)
-        else:
-            system.loop.call_at(at, spawn)
+        system.call_at(at, client, spawn)
 
     problems: list[str] = []
     if shards:
@@ -462,18 +459,10 @@ def _run_once(
             problems.append(
                 f"system not quiescent at the {HORIZON}us horizon"
             )
-        kernels = system.kernels_in_machine_order()
-        packets = sum(
-            shard.network.stats.packets_sent for shard in system.shards
-        )
-    else:
-        fired = system.run(max_events=budget)
-        if fired >= budget:
-            problems.append(
-                f"simulation did not quiesce within {budget} events"
-            )
-        kernels = list(system.kernels)
-        packets = system.network.stats.packets_sent
+    elif system.run(max_events=budget) >= budget:
+        problems.append(f"simulation did not quiesce within {budget} events")
+    kernels = system.kernels_in_machine_order()
+    packets = sum(n.stats.packets_sent for n in system.networks())
 
     counters = {
         "processes_spawned": sum(

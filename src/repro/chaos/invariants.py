@@ -2,9 +2,10 @@
 
 Each check returns a list of human-readable problems (empty = clean),
 so a gate is ``assert not survivor_invariants(...)`` and a failure
-message names every violated property at once.  All checks duck-type
-over :class:`~repro.core.system.System` and
-:class:`~repro.sim.shard.ShardedSystem` (serial executor).
+message names every violated property at once.  All checks run on
+:class:`~repro.core.system.System` and
+:class:`~repro.sim.shard.ShardedSystem` (serial executor) through their
+shared accessors.
 
 The gated properties, mapped to the paper:
 
@@ -39,20 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover
     AnySystem = System | ShardedSystem
 
 
-def _kernels(system: "AnySystem"):
-    if hasattr(system, "shards"):
-        return system.kernels_in_machine_order()
-    return list(system.kernels)
-
-
-def _effective(system: "AnySystem", machine: MachineId) -> MachineId:
-    if hasattr(system, "shards"):
-        # crash_transport replicates redirects onto every shard's
-        # routing view, so any shard answers for the whole system.
-        return system.shards[0].network.effective_destination(machine)
-    return system.network.effective_destination(machine)
-
-
 def check_exactly_once(pool: "ClientPool") -> list[str]:
     """Every client completed its quota, and every reply echoed the
     request that was waiting for it — no lost, duplicated, or
@@ -85,7 +72,8 @@ def check_chain_collapse(system: "AnySystem") -> list[str]:
     """Every forwarding chain reaches its process (or its death notice)
     without cycling, dangling, or dead-ending on a crashed machine."""
     problems: list[str] = []
-    for kernel in _kernels(system):
+    routing = system.networks()[0]
+    for kernel in system.kernels_in_machine_order():
         if kernel.crashed:
             continue
         for entry in kernel.forwarding.entries():
@@ -93,7 +81,9 @@ def check_chain_collapse(system: "AnySystem") -> list[str]:
             seen = {kernel.machine}
             current: MachineId = entry.machine
             while True:
-                current = _effective(system, current)
+                # crash_transport replicates redirects onto every
+                # shard's routing view, so any network answers.
+                current = routing.effective_destination(current)
                 target = system.kernel(current)
                 if target.crashed:
                     problems.append(
@@ -128,7 +118,7 @@ def check_chain_collapse(system: "AnySystem") -> list[str]:
 def check_no_stranded_forwarding(system: "AnySystem") -> list[str]:
     """After GC, forwarding addresses exist only for live processes."""
     problems: list[str] = []
-    for kernel in _kernels(system):
+    for kernel in system.kernels_in_machine_order():
         if kernel.crashed:
             continue
         for entry in kernel.forwarding.entries():
@@ -153,20 +143,13 @@ def check_quiescence(system: "AnySystem") -> list[str]:
     """The transport holds nothing: no packets in flight, no unacked
     sends waiting to retransmit."""
     problems: list[str] = []
-    if hasattr(system, "shards"):
-        for shard in system.shards:
-            in_flight = shard.network.in_flight()
-            unacked = shard.network.unacked()
-            if in_flight or unacked:
-                problems.append(
-                    f"shard {shard.index} transport not quiescent: "
-                    f"{in_flight} in flight, {unacked} unacked"
-                )
-    elif not system.network.quiescent():
-        problems.append(
-            f"transport not quiescent: {system.network.in_flight()} "
-            f"in flight, {system.network.unacked()} unacked"
-        )
+    for index, network in enumerate(system.networks()):
+        if not network.quiescent():
+            problems.append(
+                f"transport {index} not quiescent: "
+                f"{network.in_flight()} in flight, "
+                f"{network.unacked()} unacked"
+            )
     return problems
 
 
@@ -174,7 +157,7 @@ def check_memory_accounting(system: "AnySystem") -> list[str]:
     """Used bytes on each surviving machine equal the sum of its
     residents' images (nothing leaked, nothing double-freed)."""
     problems: list[str] = []
-    for kernel in _kernels(system):
+    for kernel in system.kernels_in_machine_order():
         if kernel.crashed:
             continue
         expected = sum(

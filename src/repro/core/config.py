@@ -33,15 +33,11 @@ class SystemConfig:
     faults: FaultPlan = field(default_factory=FaultPlan)
     rto: int = 5_000  #: transport retransmission timeout, microseconds
     #: number of parallel execution shards the machine set is split into
-    #: (1 = the classic single event loop; >1 selects the sharded engine,
-    #: :class:`repro.sim.shard.ShardedSystem`)
+    #: (read by the sharded engine, :class:`repro.sim.shard.ShardedSystem`,
+    #: whose shard pairs exchange hop records on the run-ahead schedule
+    #: of :mod:`repro.sim.barrier`; :class:`repro.core.system.System` is
+    #: the single event loop)
     shards: int = 1
-    #: decouple the injection grid from the communication cadence: shard
-    #: pairs exchange hop records only every pair-minimum-latency ticks
-    #: instead of at every global window, with batched pipe transport
-    #: (see :mod:`repro.sim.barrier`).  Off by default — the classic
-    #: per-window schedule stays available and is the reference.
-    barrier_elision: bool = False
     #: latency of the topology's backbone wires (torus inter-row wires
     #: and column wraps; the clique gateway ring).  None keeps every
     #: wire at ``latency``.  A backbone slower than the local wires is
@@ -124,12 +120,6 @@ class SystemConfig:
                     "is the slow tier; a faster backbone would shrink "
                     "the conservative lookahead instead)"
                 )
-        if self.barrier_elision and self.latency < 1:
-            raise ConfigError(
-                "barrier elision needs latency >= 1: the minimum wire "
-                "latency is the window grid the record keys are "
-                "computed against"
-            )
         if self.quantum <= 0 or self.syscall_cpu_cost <= 0:
             raise ConfigError("quantum and syscall cost must be positive")
         if self.max_data_packet <= 0:

@@ -31,7 +31,7 @@ from repro.kernel.memory import MemoryImage
 from repro.kernel.process_state import ProcessState
 from repro.net.network import Network
 from repro.net.topology import MachineId
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.spans import SpanCollector
 from repro.sim.loop import EventLoop
 from repro.sim.rng import RandomStreams
@@ -281,6 +281,41 @@ class System:
         ticket.initiated = kernel.migration.start(pid, dest, on_done=_done)
         return ticket
 
+    def call_at(
+        self,
+        time: int,
+        machine: MachineId,
+        callback: Callable[..., None],
+        *args: Any,
+    ) -> None:
+        """Schedule driver code at *time*.
+
+        The *machine* anchor only matters on the sharded engine (it
+        picks the shard loop); here every machine shares one loop.
+        """
+        self.loop.call_at(time, callback, *args)
+
+    def call_at_barrier(
+        self,
+        time: int,
+        key: tuple,
+        callback: Callable[..., None],
+        *args: Any,
+    ) -> None:
+        """Schedule a global action at *time*.
+
+        One loop has nothing to stop, so this is a plain
+        ``loop.call_at`` (*key* only orders same-tick actions on the
+        sharded engine).  Registered before the workload, the action
+        holds its tick's lowest sequence number and runs first — where
+        the sharded engine runs it too.
+        """
+        self.loop.call_at(time, callback, *args)
+
+    def crash_transport(self, dead: MachineId, executor: MachineId) -> None:
+        """Fail-stop *dead*'s transport (:meth:`Network.crash_machine`)."""
+        self.network.crash_machine(dead, executor)
+
     def run(
         self, until: int | None = None, max_events: int | None = None
     ) -> int:
@@ -290,8 +325,32 @@ class System:
         return self.loop.run_until(until, max_events=max_events)
 
     # ------------------------------------------------------------------
-    # Inspection
+    # Inspection (the same surface the sharded engine offers)
     # ------------------------------------------------------------------
+
+    def now(self) -> int:
+        """The simulation clock."""
+        return self.loop.now
+
+    def kernels_in_machine_order(self) -> list[Kernel]:
+        """Every kernel, ordered by machine id."""
+        return list(self.kernels)
+
+    def networks(self) -> list[Network]:
+        """Every network facade (one on this engine)."""
+        return [self.network]
+
+    def tracer_for(self, machine: MachineId) -> Tracer:
+        """The tracer that records *machine*'s events."""
+        return self.tracer
+
+    def metrics_for(self, machine: MachineId) -> MetricsRegistry:
+        """The metrics registry *machine* publishes into."""
+        return self.metrics
+
+    def snapshot(self) -> MetricsSnapshot:
+        """A snapshot of the system metrics registry."""
+        return self.metrics.snapshot()
 
     def kernel_hosting(self, pid: ProcessId) -> Kernel | None:
         """The kernel where *pid* currently lives (omniscient; for tests,

@@ -22,13 +22,12 @@ from repro.net.reliable import DEFAULT_RTO, ReliableTransport
 from repro.net.stats import NetworkStats
 from repro.net.topology import MachineId, Topology
 from repro.sim.barrier import (
-    RECORD_KEY,
     HopRecord,
     SyncStats,
     pack_record,
     record_entry_key,
 )
-from repro.sim.loop import EventLoop
+from repro.sim.loop import EventLoop, KeyedEventLoop
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 
@@ -308,14 +307,18 @@ class ShardNetwork(Network):
     """The network facade for one shard of a sharded system.
 
     Same kernel-facing API as :class:`Network`, but it owns transports
-    only for the shard's machines, and **no** hop is scheduled directly
-    on an event loop: every wire transmit — even one whose next hop is
-    in the same shard — becomes a :class:`~repro.sim.barrier.HopRecord`
-    in a per-destination-shard outbox.  Records are handed over at the
-    next conservative barrier, sorted canonically, and injected with
-    :meth:`receive_record`, so the ``(time, seq)`` order of deliveries
-    on any one machine is identical for every shard count (see
-    :mod:`repro.sim.barrier`).
+    only for the shard's machines, and every wire transmit becomes a
+    :class:`~repro.sim.barrier.HopRecord` tagged with its production
+    window.  The loop must be a :class:`~repro.sim.loop.KeyedEventLoop`:
+    records are scheduled under their canonical key, which makes
+    injection timing irrelevant to delivery order (see
+    :mod:`repro.sim.barrier`).  So a hop whose next stop is in this
+    shard is scheduled immediately, and a hop bound for another shard
+    waits in that shard's outbox for the pair's next rendezvous, as a
+    ``(record, blob)`` entry — the blob pickled at production time
+    (:func:`~repro.sim.barrier.pack_record`), so byte accounting is
+    executor-exact and unpicklable payloads degrade to a capture
+    envelope instead of an error.
 
     Per-wire state — the serialisation horizon (``busy_until``), the
     monotone hop counter, and the fault-injection stream — lives with
@@ -324,29 +327,17 @@ class ShardNetwork(Network):
 
     Fail-stop takeover works, but only through
     :meth:`~repro.sim.shard.ShardedSystem.crash_transport`, which
-    replicates the redirect onto every shard's routing view at a global
-    barrier (:meth:`install_redirect`); the direct
+    replicates the redirect onto every shard's routing view from a
+    barrier action (:meth:`install_redirect`); the direct
     :meth:`redirect_machine` / :meth:`crash_machine` entry points
     refuse, because one shard flipping alone would desynchronise
     routing.  Retroactive ``set_faults`` stays unsupported (the default
     plan from the config applies to every wire from the start).
-
-    With *elide_grid* set (barrier elision), the loop must be a
-    :class:`~repro.sim.loop.KeyedEventLoop` on the same grid: records
-    carry their production window (``gen``) and are scheduled under
-    their canonical key, which makes injection timing irrelevant — so
-    hops whose next stop is in this same shard skip the outbox and are
-    scheduled immediately, and cross-shard outboxes wait for their
-    pair's rendezvous instead of the next global window.  Cross-shard
-    outbox entries carry the record *and* its wire blob, pickled at
-    production time (:func:`~repro.sim.barrier.pack_record`), so byte
-    accounting is executor-exact and unpicklable payloads degrade to a
-    capture envelope instead of an error.
     """
 
     def __init__(
         self,
-        loop: EventLoop,
+        loop: KeyedEventLoop,
         topology: Topology,
         shard_index: int,
         shard_of: Callable[[MachineId], int],
@@ -356,7 +347,6 @@ class ShardNetwork(Network):
         faults: FaultPlan | None = None,
         rto: int = DEFAULT_RTO,
         metrics: "MetricsRegistry | None" = None,
-        elide_grid: int | None = None,
     ) -> None:
         super().__init__(
             loop,
@@ -368,72 +358,51 @@ class ShardNetwork(Network):
             metrics=metrics,
             machines=machines,
         )
-        if elide_grid is not None and not hasattr(loop, "schedule_record"):
+        if not isinstance(loop, KeyedEventLoop):
             raise SimulationError(
-                "barrier elision needs a KeyedEventLoop (record keys are "
+                "a shard network needs a KeyedEventLoop (record keys are "
                 "the loop's tie-break)"
             )
         self.shard_index = shard_index
+        self._grid = loop.grid
         self.shard_of = shard_of
         self.machines = list(machines)
-        #: sync-overhead counters the barrier runner fills in
+        #: sync-overhead counters the shard schedule fills in
         self.sync = SyncStats()
         #: test hook: called with each delivered HopRecord (or None)
         self.on_record_delivered: Callable[[HopRecord], None] | None = None
-        self._elide_grid = elide_grid
-        #: classic: lists of HopRecord; elided: lists of (record, blob)
-        #: pairs — the blob packed at production time (pack_record)
-        self._outboxes: dict[int, list] = {}
+        #: per destination shard: (record, blob) entries, the blob
+        #: packed at production time (pack_record)
+        self._outboxes: dict[int, list[tuple[HopRecord, bytes]]] = {}
         self._wire_busy: dict[tuple[MachineId, MachineId], int] = {}
         self._wire_seq: dict[tuple[MachineId, MachineId], int] = {}
         self._wire_rngs: dict[tuple[MachineId, MachineId], Any] = {}
         self._inbound_pending = 0
 
-    # -- barrier handoff ------------------------------------------------
+    # -- rendezvous handoff --------------------------------------------
 
-    def take_outboxes(self) -> dict[int, list]:
-        """Pending hop records keyed by destination shard (clears them).
-
-        Each destination's list is sorted into canonical order here —
-        at drain time, per source — so barriers merge the pre-sorted
-        per-source lists instead of re-sorting the concatenation.
-        Classic entries are plain records; elided entries are
-        ``(record, blob)`` with the blob packed at production time.
-        """
+    def take_outboxes(self) -> dict[int, list[tuple[HopRecord, bytes]]]:
+        """Pending entries keyed by destination shard (clears them),
+        each list sorted into canonical order so a drain round merges
+        pre-sorted per-source lists instead of re-sorting."""
         outboxes = self._outboxes
         self._outboxes = {}
-        key = (
-            RECORD_KEY if self._elide_grid is None else record_entry_key
-        )
-        for records in outboxes.values():
-            records.sort(key=key)
+        for entries in outboxes.values():
+            entries.sort(key=record_entry_key)
         return outboxes
 
-    def take_outbox(self, dest: int) -> list:
-        """Pending hop records for one destination shard, pre-sorted
-        (clears just that outbox) — the pairwise-rendezvous drain.
-        Same per-engine entry shape as :meth:`take_outboxes`."""
-        records = self._outboxes.pop(dest, [])
-        records.sort(
-            key=RECORD_KEY if self._elide_grid is None
-            else record_entry_key
-        )
-        return records
+    def take_outbox(self, dest: int) -> list[tuple[HopRecord, bytes]]:
+        """Pending entries for one destination shard, pre-sorted (clears
+        just that outbox) — what a pairwise rendezvous ships."""
+        entries = self._outboxes.pop(dest, [])
+        entries.sort(key=record_entry_key)
+        return entries
 
     def receive_record(self, record: HopRecord) -> None:
-        """Schedule one barrier-delivered hop at its exact arrival tick.
-
-        Classic schedule: called in canonical record order; ``call_at``
-        hands out sequence numbers in call order, so the injection
-        order *is* the delivery tie-break order.  Under elision the
-        record's own key is the tie-break and the call order does not
-        matter.
-        """
+        """Schedule one hop at its arrival tick, under its record key
+        (so the call order does not matter)."""
         self._inbound_pending += 1
-        if self._elide_grid is not None:
-            self.loop.schedule_record(record, self._record_arrived, record)
-        else:
-            self.loop.call_at(record.arrival, self._record_arrived, record)
+        self.loop.schedule_record(record, self._record_arrived, record)
 
     def _record_arrived(self, record: HopRecord) -> None:
         self._inbound_pending -= 1
@@ -492,51 +461,35 @@ class ShardNetwork(Network):
         serialization = packet.size_bytes * 1_000 // max(wire.bandwidth, 1)
         busy = self._wire_busy.get(wire_key, 0)
         seq = self._wire_seq.get(wire_key, 0)
-        grid = self._elide_grid
-        if grid is None:
-            outbox = self._outboxes.setdefault(self.shard_of(next_hop), [])
-            for _ in range(copies):
-                departs = max(now, busy) + serialization
-                busy = departs
-                delay = departs - now + wire.latency
-                if plan.max_jitter:
-                    delay += rng.randint(0, plan.max_jitter)
-                seq += 1
-                outbox.append(
-                    HopRecord(now + delay, here, next_hop, seq, packet)
+        # Tag the production window; a hop staying in this shard needs
+        # no rendezvous at all — its key already places it.
+        gen = now // self._grid
+        dest_shard = self.shard_of(next_hop)
+        direct = dest_shard == self.shard_index
+        for _ in range(copies):
+            departs = max(now, busy) + serialization
+            busy = departs
+            delay = departs - now + wire.latency
+            if plan.max_jitter:
+                delay += rng.randint(0, plan.max_jitter)
+            seq += 1
+            record = HopRecord(now + delay, here, next_hop, seq, packet, gen)
+            if direct:
+                self.receive_record(record)
+            else:
+                # Pack the wire blob *now*: the producing shard's state
+                # at this instant is executor-independent, so counted
+                # bytes (and shipped bytes) are too.
+                self._outboxes.setdefault(dest_shard, []).append(
+                    (record, pack_record(record))
                 )
-        else:
-            # Elision: tag the production window; a hop staying in this
-            # shard needs no barrier at all — its key already places it.
-            gen = now // grid
-            dest_shard = self.shard_of(next_hop)
-            direct = dest_shard == self.shard_index
-            for _ in range(copies):
-                departs = max(now, busy) + serialization
-                busy = departs
-                delay = departs - now + wire.latency
-                if plan.max_jitter:
-                    delay += rng.randint(0, plan.max_jitter)
-                seq += 1
-                record = HopRecord(
-                    now + delay, here, next_hop, seq, packet, gen
-                )
-                if direct:
-                    self.receive_record(record)
-                else:
-                    # Pack the wire blob *now*: the producing shard's
-                    # state at this instant is executor-independent,
-                    # so counted bytes (and shipped bytes) are too.
-                    self._outboxes.setdefault(dest_shard, []).append(
-                        (record, pack_record(record))
-                    )
         self._wire_busy[wire_key] = busy
         self._wire_seq[wire_key] = seq
 
     # -- diagnostics -----------------------------------------------------
 
     def in_flight(self) -> int:
-        """Hops waiting in outboxes plus injected-but-not-arrived ones."""
+        """Hops waiting in outboxes plus scheduled-but-not-arrived ones."""
         queued = sum(len(box) for box in self._outboxes.values())
         return queued + self._inbound_pending
 
@@ -575,8 +528,8 @@ class ShardNetwork(Network):
         """Route traffic addressed to *dead* towards *executor*.
 
         Called on **every** shard network by
-        :meth:`~repro.sim.shard.ShardedSystem.crash_transport` at a
-        global barrier, so all shards flip their (pure-data) routing
+        :meth:`~repro.sim.shard.ShardedSystem.crash_transport` from a
+        barrier action, so all shards flip their (pure-data) routing
         view atomically.  No transport validation here — a shard
         usually owns neither machine; the sharded system validated
         both before fanning out.
@@ -584,7 +537,7 @@ class ShardNetwork(Network):
         if dead == executor:
             raise UnknownMachineError("a machine cannot execute itself")
         self._redirects[dead] = executor
-        # Chase chains exactly as the classic facade does: anything
+        # Chase chains exactly as the single-loop facade does: anything
         # previously redirected to `dead` now lands on the executor.
         for original, target in list(self._redirects.items()):
             if target == dead:

@@ -41,42 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
     AnySystem = System | ShardedSystem
 
 
-def _kernels(system: "AnySystem"):
-    """Every kernel in machine order, on either engine."""
-    if hasattr(system, "shards"):
-        return system.kernels_in_machine_order()
-    return list(system.kernels)
-
-
-def _now(system: "AnySystem") -> int:
-    """The engine clock: one loop classically, the barrier clock sharded.
-
-    Under sharding, recovery only ever runs inside a barrier action,
-    where every shard clock has been frozen to the action time — so the
-    max over shard clocks *is* the crash instant.
-    """
-    if hasattr(system, "shards"):
-        return system.now()
-    return system.loop.now
-
-
-def _tracer(system: "AnySystem", machine: MachineId):
-    """The tracer that owns *machine* (the shard's, or the global one)."""
-    if hasattr(system, "shards"):
-        return system.shard_for(machine).tracer
-    return system.tracer
-
-
-def _crash_transport(
-    system: "AnySystem", machine: MachineId, executor: MachineId
-) -> None:
-    """Fail-stop the transport on either engine."""
-    if hasattr(system, "shards"):
-        system.crash_transport(machine, executor)
-    else:
-        system.network.crash_machine(machine, executor)
-
-
 @dataclass
 class CrashReport:
     """What one crash did."""
@@ -92,12 +56,13 @@ class CrashReport:
 class CrashRecoveryManager:
     """Fail-stop crashes with stable-storage process recovery.
 
-    Duck-types over :class:`~repro.core.system.System` and
-    :class:`~repro.sim.shard.ShardedSystem` (serial executor).  Sharded
-    crashes must run inside a barrier action
+    Runs on :class:`~repro.core.system.System` and
+    :class:`~repro.sim.shard.ShardedSystem` (serial executor) through
+    their shared accessors.  Sharded crashes must run inside a barrier
+    action
     (:meth:`~repro.sim.shard.ShardedSystem.call_at_barrier`): the
     recovery sequence mutates several shards' state atomically, which
-    is only sound between windows with every shard clock frozen at the
+    is only sound while every shard is stopped with its clock frozen at the
     crash instant.
     """
 
@@ -135,11 +100,11 @@ class CrashRecoveryManager:
         # the delivery substrate (published communications) hands its
         # streams and its traffic to the executor.
         dead.crashed = True
-        _crash_transport(system, machine, executor)
+        system.crash_transport(machine, executor)
 
         # Abort outbound migrations from *any* machine that were headed
         # to the dead one (their destination state is gone).
-        for kernel in _kernels(system):
+        for kernel in system.kernels_in_machine_order():
             if kernel is dead or kernel.crashed:
                 continue
             for pid in list(kernel.migration.outgoing_pids()):
@@ -149,7 +114,7 @@ class CrashRecoveryManager:
                 state = kernel.processes.get(pid)
                 entry.record.success = False
                 entry.record.refusal_reason = "destination crashed"
-                entry.record.completed_at = _now(system)
+                entry.record.completed_at = system.now()
                 if state is not None:
                     kernel.restore_aborted_migration(state)
                 kernel.migration._finish_source(entry, success=False)
@@ -162,7 +127,7 @@ class CrashRecoveryManager:
         # already-lost pending queue, cleanup) are moot.  Otherwise the
         # transfer is incomplete and is cancelled; the frozen state is
         # still at the source and is recovered below if protected.
-        for kernel in _kernels(system):
+        for kernel in system.kernels_in_machine_order():
             if kernel is dead or kernel.crashed:
                 continue
             for pid, entry in list(kernel.migration._incoming.items()):
@@ -186,10 +151,10 @@ class CrashRecoveryManager:
                     # redirects to the executor and is undeliverable.
                     if kernel is not alive:
                         alive.forwarding.install(
-                            pid, kernel.machine, _now(system),
+                            pid, kernel.machine, system.now(),
                         )
                         report.forwarding_recovered += 1
-                    _tracer(system, kernel.machine).record(
+                    system.tracer_for(kernel.machine).record(
                         "recover", "inbound-completed", pid=str(pid),
                         at=kernel.machine,
                     )
@@ -197,7 +162,7 @@ class CrashRecoveryManager:
                     kernel.memory.cancel_reservation(pid)
                     kernel.processes.pop(pid, None)
                     report.migrations_aborted += 1
-                    _tracer(system, kernel.machine).record(
+                    system.tracer_for(kernel.machine).record(
                         "recover", "inbound-cancelled", pid=str(pid),
                         at=kernel.machine,
                     )
@@ -219,7 +184,7 @@ class CrashRecoveryManager:
             if own is not None and own.machine != machine:
                 continue
             alive.forwarding.install(
-                entry.pid, entry.machine, _now(system),
+                entry.pid, entry.machine, system.now(),
             )
             report.forwarding_recovered += 1
 
@@ -233,12 +198,12 @@ class CrashRecoveryManager:
                 dead_mark = alive  # executor answers for the casualties
                 dead_mark.dead.add(pid)
                 report.casualties.append(pid)
-                _tracer(system, alive.machine).record(
+                system.tracer_for(alive.machine).record(
                     "recover", "casualty", pid=str(pid), machine=machine,
                 )
 
         self.reports.append(report)
-        _tracer(system, executor).record(
+        system.tracer_for(executor).record(
             "recover", "crash", machine=machine, executor=executor,
             recovered=len(report.recovered),
             casualties=len(report.casualties),
@@ -262,10 +227,10 @@ class CrashRecoveryManager:
           (its executor answers for it);
         - no working kernel still has migration protocol entries open.
         """
-        system = self.system
+        kernels = self.system.kernels_in_machine_order()
         problems: list[str] = []
         hosts: dict[ProcessId, list[MachineId]] = {}
-        for kernel in _kernels(system):
+        for kernel in kernels:
             if kernel.crashed:
                 if kernel.processes:
                     problems.append(
@@ -289,7 +254,7 @@ class CrashRecoveryManager:
                 )
 
         def dead_marked(pid: ProcessId) -> bool:
-            return any(pid in k.dead for k in _kernels(system))
+            return any(pid in k.dead for k in kernels)
 
         for report in self.reports:
             for pid in report.recovered:
@@ -330,7 +295,7 @@ class CrashRecoveryManager:
             dead.loop.cancel(dead_timer)
         if state.wake_deadline is not None:
             state.wake_remaining = max(
-                0, state.wake_deadline - _now(self.system),
+                0, state.wake_deadline - self.system.now(),
             )
             state.wake_deadline = None
 
@@ -342,6 +307,6 @@ class CrashRecoveryManager:
             state.context.rebind(alive)
         state.accounting.migrations += 1  # a recovery is a forced move
         alive._unfreeze(state)
-        _tracer(self.system, alive.machine).record(
+        self.system.tracer_for(alive.machine).record(
             "recover", "recovered", pid=str(pid), to=alive.machine,
         )

@@ -1,97 +1,57 @@
-"""Conservative time-window barriers for sharded execution.
+"""Run-ahead rendezvous schedule for sharded execution.
 
 The sharded engine (:mod:`repro.sim.shard`) partitions the machine set
-into shards, each with its own :class:`~repro.sim.loop.EventLoop`.  The
-machines only interact through the network, and every wire has a
+into shards, each with its own :class:`~repro.sim.loop.KeyedEventLoop`.
+Machines only interact through the network, and every wire has a
 non-zero latency, so a packet put on a wire at time ``t`` cannot affect
-any machine before ``t + L`` where ``L`` is the smallest wire latency in
-the topology.  That is the classic conservative-PDES lookahead argument:
-all events in the half-open window ``[s, s + L)`` are causally
-independent across shards and safe to execute in parallel.
+any machine before ``t + L``.  That is the conservative-PDES lookahead
+argument this module turns into a schedule.
 
-Two rules make the result not merely *equivalent* but *byte-identical*
-for every shard count (the repo's determinism gate diffs ``shards=1``
-against ``shards=4``):
+**Byte-identical for every shard count.**  Every inter-machine hop is a
+:class:`HopRecord` tagged with the grid window it was produced in
+(``gen``; the grid is the minimum latency over *all* wires, so it does
+not depend on the partition).  The keyed event loop files a record
+under ``(gen, src, dst, wire_seq)`` rather than under its injection
+order, so a record may be injected one window early or five windows
+late and still fire in the same slot.  Hops that stay inside a shard are
+scheduled directly; hops that cross shards wait in an outbox for the
+pair's next rendezvous.
 
-- **Every** inter-machine hop — including hops whose source and
-  destination land in the same shard — is converted into a
-  :class:`HopRecord` and injected at a barrier, never scheduled
-  directly.  Records pending at a barrier are sorted by the canonical
-  key ``(arrival, src, dst, wire_seq)`` before injection, so the
-  relative ``(time, seq)`` order of deliveries on any one machine's
-  loop is a function of the simulation state alone, not of how machines
-  were grouped into shards.
-- The window length is the minimum latency over **all** wires, not the
-  minimum over wires that happen to cross a shard boundary.  A
-  boundary-crossing minimum would be a function of the partition (and
-  undefined at ``shards=1``); the global minimum is never larger, so it
-  is still a sound lookahead, and it makes the window grid — and hence
-  which records share a barrier — identical for every shard count.
+**Pairwise cadence.**  Shard pair ``(i, j)`` exchanges only at multiples
+of its ``period`` — the minimum latency over wires crossing the pair,
+snapped down to the grid.  A record produced after one rendezvous cannot
+arrive before the next, so handing it over then is still early enough.
+Pairs no wire crosses never meet during the horizon phase.
 
-Windows are aligned to a fixed grid (``[k*L, (k+1)*L)``), and globally
-empty windows are skipped: a barrier where no shard has work injects
-nothing and assigns no event sequence numbers, so fast-forwarding over
-it cannot perturb later ordering.
+**Run-ahead.**  At each meeting the two sides exchange, alongside their
+records, their next pending event time and the earliest rendezvous of
+any *other* incident pair; from those both compute the same activity
+bound and agree on the pair's next meeting (:func:`agree_next_meeting`).
+Every grid window in between runs back-to-back with no barrier touch; a
+pair with no wake source parks.  Two clamps keep the
+meeting-before-arrival invariant when work appears from outside the
+simulation: entering a run re-arms every pair to its first period
+multiple after the resumed clock, and firing a barrier action re-arms
+every pair to its first period multiple after the action tick.  Extra
+meetings are always safe; late ones never happen.
 
-Two runners share the schedule: :class:`SerialBarrierRunner` drives all
-shards in one process (the reference executor, also used for
-``shards=1``), and :class:`WorkerBarrier` drives a single shard inside
-a forked worker, exchanging records with its peers over pairwise pipes.
-Both compute the same global next-event time each round, so they follow
-exactly the same window sequence.
+**Drain.**  Past the horizon, quiescence is a *global* property, so the
+schedule falls back to all-pairs rounds, each strided by the shard's
+minimum incident pair period (:func:`drain_step`).
 
-**Barrier elision** (``SystemConfig.barrier_elision``) decouples the
-injection grid from the communication cadence.  The grid — which
-window a record belongs to, and hence its tie-break slot — stays the
-global minimum wire latency, but it is carried *in the record* (the
-``gen`` tag) and enforced by the keyed event loop
-(:class:`~repro.sim.loop.KeyedEventLoop`), not by injection timing.
-That frees the runners to exchange each shard *pair* only every
-``period(i, j)`` ticks, where the period is the largest grid multiple
-not exceeding the minimum latency over wires crossing that pair: a
-record produced after one rendezvous cannot arrive before the next, so
-handing it over at the next rendezvous is still conservatively early.
-Pairs with no connecting wire never rendezvous at all during the
-horizon phase (hops traverse physical wires, so no record can be
-addressed to a wireless pair); the drain phase keeps all-pairs rounds
-— global quiescence is not locally detectable on a sparse exchange
-graph — but strides each round by the shard's minimum incident pair
-period (:func:`drain_step`).
-
-**Run-ahead** makes the rendezvous schedule event-driven instead of
-purely periodic.  At each meeting the two sides exchange, alongside
-their records, their next pending event time and the earliest
-rendezvous of any *other* incident pair; from those both compute the
-same *activity bound* — the earliest instant either shard can possibly
-execute anything new (its own head, a record just injected, or an
-injection by a third shard, whose records never arrive before the
-meeting that delivers them).  Any record produced by an event at
-``p >= act`` arrives at ``>= p + period``, so the pair's next meeting
-is pushed out to ``min(act_i, act_j) + period`` snapped down to the
-period grid: every grid window in between runs back-to-back with no
-barrier touch.  A pair with no wake source at all *parks* (meets again
-only when re-armed).  Two clamps keep the meeting-before-arrival
-invariant when new work appears from outside the simulation: entering
-``run()`` re-arms every pair to its first period multiple after the
-resumed clock (driver code may have scheduled anything), and firing a
-barrier action re-arms every pair to its first period multiple after
-the action tick (the action may have scheduled events or emitted
-records).  Extra meetings are always safe; late ones never happen.
-
-:class:`ElidedSerialRunner` and :class:`ElidedWorkerBarrier` implement
-the schedule; both count their synchronisation traffic in
-:class:`SyncStats` (rounds, records, bytes).  Byte counts are
-*executor-exact*: every cross-shard record is pickled once, at
-production time (:func:`pack_record` — the producing shard's state at
-that instant is identical under every executor), and rendezvous frames
-carry those per-record blobs, so the serial runner counts the very
-bytes a forked worker ships.  A payload that cannot pickle (a live
-process generator mid-migration) is *captured*: the frame carries a
-:class:`CapturedPayload` stand-in with deterministic bytes while the
-live record object rides the serial runners' in-process injection
-untouched — so live-generator migration works on both serial engines;
-only the forked executor, which must rehydrate from the blob, refuses
-it.
+:class:`ShardSchedule` holds all of that once, per shard, as a generator
+of :class:`Exchange` and :class:`Stop` steps.  Two transports drive it:
+:func:`run_in_process` pairs matching exchanges of every shard in this
+process (live record objects cross shards, so live-generator migration
+works), and :func:`run_over_pipes` drives one shard in a forked worker,
+shipping each frame with ``send_bytes``/``recv_bytes`` and rehydrating
+records with :func:`unpack_record`.  Byte counts in :class:`SyncStats`
+are executor-exact: every cross-shard record is pickled once, at
+production time (:func:`pack_record`), and both transports count the
+same frames.  A payload that cannot pickle (a live process generator
+mid-migration) is *captured*: its blob carries a
+:class:`CapturedPayload` stand-in, which only the pipe transport
+refuses.
 """
 
 from __future__ import annotations
@@ -99,10 +59,10 @@ from __future__ import annotations
 import io
 import pickle
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from heapq import merge as _heapq_merge
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Iterable, Protocol
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Protocol
 
 from repro.errors import SimulationError
 
@@ -112,14 +72,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True, slots=True)
 class HopRecord:
-    """One packet hop travelling along one wire, barrier-to-barrier.
+    """One packet hop travelling along one wire.
 
     ``wire_seq`` is a per-directed-wire monotone counter owned by the
     wire's source shard; together with ``(arrival, src, dst)`` it gives
-    every record pending at a barrier a total order that does not
-    depend on the shard layout.  ``gen`` is the grid window the hop was
-    *produced* in — the slot the keyed event loop files it under, so a
-    record can be injected at any barrier without moving in the order.
+    every record a total order that does not depend on the shard
+    layout.  ``gen`` is the grid window the hop was *produced* in — the
+    slot the keyed event loop files it under, so a record can be
+    injected at any rendezvous without moving in the order.
     """
 
     arrival: int  #: simulated time the hop completes at ``dst``
@@ -127,7 +87,7 @@ class HopRecord:
     dst: int  #: machine the hop arrives at (next hop, not final dest)
     wire_seq: int  #: per-wire transmit counter (duplicates get their own)
     packet: Any  #: the in-flight :class:`~repro.net.packet.Packet`
-    gen: int = 0  #: grid window of production (barrier-elision key)
+    gen: int = 0  #: grid window of production (the loop's slot key)
 
     def __getstate__(self) -> tuple:
         """Positional wire state: every record blob repeats this class,
@@ -142,18 +102,18 @@ class HopRecord:
             object.__setattr__(self, name, value)
 
 
-#: Canonical barrier injection order (see module docstring).
+#: Canonical record order (see module docstring).
 RECORD_KEY = attrgetter("arrival", "src", "dst", "wire_seq")
 
-#: Pipes carry pre-pickled blobs (one per peer per round) so each
-#: rendezvous is a single send/recv syscall pair and its size is
-#: countable; the protocol is pinned so byte counts are deterministic
-#: across interpreter versions.
+#: Pipes carry one pre-pickled frame per peer per exchange, so each
+#: rendezvous is a single send/recv pair and its size is countable; the
+#: protocol is pinned so byte counts are deterministic across
+#: interpreter versions.
 WIRE_PICKLE_PROTOCOL = min(pickle.HIGHEST_PROTOCOL, 5)
 
 
 def pack_blob(payload: Any) -> bytes:
-    """Pickle one barrier message into the blob the pipe carries."""
+    """Pickle one rendezvous frame into the blob the pipe carries."""
     return pickle.dumps(payload, WIRE_PICKLE_PROTOCOL)
 
 
@@ -165,9 +125,9 @@ class CapturedPayload:
     hop record still needs a deterministic wire frame: the record's
     blob carries this pure-data surrogate instead (same declared sizes,
     so byte accounting stays executor-independent), while the live
-    record object itself is what the serial runners inject.  A forked
-    worker that rehydrates one of these refuses the run — there is no
-    live object on its side of the pipe to fall back to.
+    record object itself is what the in-process transport hands over.
+    A forked worker that rehydrates one of these refuses the run —
+    there is no live object on its side of the pipe to fall back to.
     """
 
     kind: str  #: class name of the packet that could not pickle
@@ -237,8 +197,8 @@ def pack_record(record: HopRecord) -> bytes:
     what makes byte counts executor-exact: the producing shard's
     object graph at that instant is identical whether it runs in the
     shared serial process or in a forked worker, whereas by rendezvous
-    time a serial peer may have mutated shared state a worker could
-    never see.  Payloads that cannot pickle are captured (see
+    time an in-process peer may have mutated shared state a worker
+    could never see.  Payloads that cannot pickle are captured (see
     :class:`CapturedPayload`).
     """
     try:
@@ -266,8 +226,8 @@ def _pack_record_blob(record: HopRecord) -> bytes:
 
 
 def record_entry_key(entry: "tuple[HopRecord, bytes]"):
-    """Canonical order for the ``(record, blob)`` outbox entries the
-    elided engine keeps (the blob tags along, the record decides)."""
+    """Canonical order for ``(record, blob)`` outbox entries (the blob
+    tags along, the record decides)."""
     return RECORD_KEY(entry[0])
 
 
@@ -278,8 +238,7 @@ def merge_sorted_records(
 
     Every list is already sorted by :data:`RECORD_KEY` (outboxes are
     sorted when drained) and the key is globally unique, so a k-way
-    merge produces exactly what re-sorting the concatenation would —
-    without the O(n log n) comparison bill at every barrier.
+    merge produces exactly what re-sorting the concatenation would.
     """
     return list(_heapq_merge(*lists, key=RECORD_KEY))
 
@@ -296,7 +255,7 @@ def window_end(time: int, lookahead: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class BarrierAction:
-    """One global action pinned to a barrier on the window grid.
+    """One global action pinned to a tick on the window grid.
 
     ``key`` is pure data (kind string + machine ids) and totally orders
     same-tick actions the way :data:`RECORD_KEY` orders hop records:
@@ -314,11 +273,10 @@ class BarrierActionQueue:
     """Pending global actions for a sharded run (fail-stop crashes).
 
     A crash mutates state on several shards at once, so it cannot be a
-    loop event — it fires *between* windows, at a barrier where every
-    shard has finished all events strictly before the action time.
-    Restricting action times to the window grid makes that barrier
-    exist by construction: windows are grid-aligned half-open
-    intervals, so no window ever straddles a grid point.
+    loop event — it fires while every shard is stopped with all events
+    strictly before the action time executed and none at it.  Action
+    times sit on the window grid, which also re-arms every rendezvous
+    to the period grid after the tick.
     """
 
     def __init__(self, lookahead: int) -> None:
@@ -329,12 +287,11 @@ class BarrierActionQueue:
         self.fired = 0
 
     def add(self, at: int, key: tuple, callback: Any, *args: Any) -> None:
-        """Register *callback* to fire at the barrier at time *at*."""
+        """Register *callback* to fire at time *at*."""
         if at < 0 or at % self.lookahead:
             raise ValueError(
                 f"barrier action at t={at} is not aligned to the "
-                f"{self.lookahead}us window grid (a mid-window global "
-                f"action has no barrier to fire at)"
+                f"{self.lookahead}us window grid"
             )
         self._pending.append(BarrierAction(at, key, callback, args))
 
@@ -396,15 +353,14 @@ def drain_step(
 ) -> int:
     """How far *shard* may run past a drain exchange's global floor.
 
-    After an all-pairs exchange every worker knows the global
-    next-event time ``nxt`` and holds every already-produced record;
-    any *new* cross-shard influence originates at an event >= ``nxt``
-    and must traverse a wire crossing one of the shard's incident
-    pairs, so it cannot arrive before ``nxt + period(pair)``.  The
-    minimum incident period is therefore a sound per-round stride —
-    the drain-phase analogue of the rendezvous cadence (a shard with
-    no incident pairs keeps the classic one-window stride; it receives
-    nothing either way).
+    After an all-pairs exchange every shard knows the global next-event
+    time ``nxt`` and holds every already-produced record; any *new*
+    cross-shard influence originates at an event >= ``nxt`` and must
+    traverse a wire crossing one of the shard's incident pairs, so it
+    cannot arrive before ``nxt + period(pair)``.  The minimum incident
+    period is therefore a sound per-round stride (a shard with no
+    incident pairs keeps a one-window stride; it receives nothing
+    either way).
     """
     incident = [
         period
@@ -412,32 +368,6 @@ def drain_step(
         if shard in (i, j)
     ]
     return min(incident, default=lookahead)
-
-
-def rendezvous_schedule(
-    pair_periods: dict[tuple[int, int], int], horizon: int
-) -> list[tuple[int, int, int]]:
-    """Every ``(time, i, j)`` rendezvous up to *horizon*, globally sorted.
-
-    The *static* cadence: pair ``(i, j)`` meets at every multiple of
-    its period.  Run-ahead (the dynamic schedule the runners actually
-    walk) only ever *skips* meetings from this set forward along the
-    period grid, so this is its upper bound — benchmarks compare the
-    two to measure rounds saved.  The sorted order is the processing
-    order on every worker: each worker walks its own pairs' events in
-    this order, and because the globally least unprocessed rendezvous
-    is the least *local* rendezvous of both its participants, some
-    pair can always meet — no deadlock (the same argument covers the
-    dynamic schedule: both members of a pair agree on its next meeting
-    time, so the total ``(t, i, j)`` order is still shared).
-    """
-    events = [
-        (t, i, j)
-        for (i, j), period in pair_periods.items()
-        for t in range(period, horizon + 1, period)
-    ]
-    events.sort()
-    return events
 
 
 def first_multiple_after(period: int, time: int) -> int:
@@ -462,8 +392,8 @@ def agree_next_meeting(
     (meetings stay on the grid so ``windows_elided`` accounting and the
     re-arm clamps compose), never earlier than ``t + period``.  Both
     sides with no wake source at all park the pair (``None``): each is
-    provably idle until a ``run()`` re-entry or barrier action re-arms
-    every pair.
+    provably idle until a run re-entry or barrier action re-arms every
+    pair.
     """
     act = _next_time(act_a, act_b)
     if act is None:
@@ -473,7 +403,11 @@ def agree_next_meeting(
 
 
 class ShardPeer(Protocol):
-    """What a barrier runner needs from one shard's runtime."""
+    """What a :class:`ShardSchedule` needs from one shard's runtime."""
+
+    def now(self) -> int:
+        """The shard's clock."""
+        ...  # pragma: no cover
 
     def next_event_time(self) -> int | None:
         """Earliest pending event on this shard's loop, or None."""
@@ -488,33 +422,21 @@ class ShardPeer(Protocol):
         ...  # pragma: no cover
 
     def freeze_at(self, time: int) -> None:
-        """Pin the clock at *time* without executing events there.
-
-        Used before firing barrier actions: every event strictly before
-        *time* has run, and events *at* *time* must still be pending —
-        a barrier action fires before the window that contains it.
-        """
+        """Pin the clock at *time* without executing events there (a
+        barrier action fires before the window that contains it)."""
         ...  # pragma: no cover
 
     def drain_outboxes(self) -> dict[int, list]:
-        """Take (and clear) pending records, keyed by dest shard.
-
-        Each list comes back pre-sorted in canonical order, so barriers
-        merge instead of re-sorting (see :func:`merge_sorted_records`).
-        Classic runners see plain :class:`HopRecord` lists; the elided
-        runners see ``(record, blob)`` entries — the blob packed at
-        production time by :func:`pack_record`.
-        """
+        """Take (and clear) every pending ``(record, blob)`` entry,
+        keyed by destination shard, each list in canonical order."""
         ...  # pragma: no cover
 
     def take_outbox(self, dest: int) -> list:
-        """Take (and clear) pending records for one destination shard,
-        pre-sorted — the pairwise-rendezvous flavour of
-        :meth:`drain_outboxes` (same per-engine entry shape)."""
+        """Take (and clear) the entries for one destination shard."""
         ...  # pragma: no cover
 
     def inject(self, records: list[HopRecord]) -> None:
-        """Schedule canonically ordered *records* on this shard's loop."""
+        """Schedule *records* on this shard's loop."""
         ...  # pragma: no cover
 
 
@@ -524,727 +446,355 @@ def _next_time(*candidates: int | None) -> int | None:
     return min(live) if live else None
 
 
-class SerialBarrierRunner:
-    """Drive every shard in one process on the shared window schedule.
+@dataclass(slots=True)
+class Frame:
+    """What one shard ships to a partner at one exchange.
 
-    This is both the ``shards=1`` executor and the reference semantics
-    the forked executor must match: the two runners make identical
-    window decisions because they compute the same global next-event
-    time from the same inputs each round.
+    ``blob`` is the wire form — ``(record blobs, head, bound)`` packed
+    with :func:`pack_blob` — and is what :class:`SyncStats` counts;
+    ``records`` are the same records as objects (the live originals in
+    process, rehydrated copies across a pipe).
     """
 
-    def __init__(
-        self,
-        peers: list[ShardPeer],
-        lookahead: int,
-        actions: BarrierActionQueue | None = None,
-    ) -> None:
-        if lookahead < 1:
-            raise ValueError(f"lookahead must be >= 1, got {lookahead}")
-        self.peers = peers
-        self.lookahead = lookahead
-        #: global (cross-shard) actions fired between windows
-        self.actions = actions
-        #: windows executed (diagnostics; identical for any shard count)
-        self.windows = 0
-        #: hop records exchanged at barriers (diagnostics)
-        self.records_exchanged = 0
-
-    def run(self, horizon: int | None = None) -> None:
-        """Execute windows until quiescence (or the *horizon* clock)."""
-        peers = self.peers
-        lookahead = self.lookahead
-        while True:
-            self._exchange_all()
-            nxt = _next_time(*(p.next_event_time() for p in peers))
-            if self._fire_actions(nxt, horizon):
-                # Actions may schedule events and emit records; rerun
-                # the exchange and recompute the global next time.
-                continue
-            if nxt is None or (horizon is not None and nxt > horizon):
-                break
-            end = window_end(nxt, lookahead)
-            deadline = end - 1 if horizon is None else min(end - 1, horizon)
-            for peer in peers:
-                peer.run_window(deadline)
-            self.windows += 1
-            if horizon is not None and deadline >= horizon:
-                self._exchange_all()
-                break
-        if horizon is not None:
-            for peer in peers:
-                peer.advance_to(horizon)
-
-    def _fire_actions(self, nxt: int | None, horizon: int | None) -> bool:
-        """Fire barrier actions due before the next window, if any.
-
-        An action at grid time T fires once every event strictly before
-        T has executed (``nxt`` has climbed to T or beyond, or global
-        quiescence).  Windows are grid-aligned, so no window straddles
-        T: events at T are still pending when the action fires — the
-        same "crash runs first at its tick" semantics the classic
-        engine gets from scheduling the crash callback at install time.
-        """
-        queue = self.actions
-        if queue is None:
-            return False
-        at = queue.next_time()
-        if at is None:
-            return False
-        if horizon is not None and at > horizon:
-            return False
-        if nxt is not None and nxt < at:
-            return False
-        for peer in self.peers:
-            peer.freeze_at(at)
-        for action in queue.take_due(at):
-            action.callback(*action.args)
-        return True
-
-    def _exchange_all(self) -> None:
-        """Move every pending record to its destination shard, merging
-        the per-source pre-sorted lists into canonical order."""
-        by_dest: dict[int, list[list[HopRecord]]] = {}
-        for peer in self.peers:
-            for dest, records in peer.drain_outboxes().items():
-                if records:
-                    by_dest.setdefault(dest, []).append(records)
-        for dest, lists in by_dest.items():
-            merged = merge_sorted_records(lists)
-            self.records_exchanged += len(merged)
-            self.peers[dest].inject(merged)
+    records: list[HopRecord]
+    blob: bytes
+    head: int | None  #: the sender's next pending event time
+    #: horizon meetings: the sender's earliest other rendezvous;
+    #: drain rounds: the earliest arrival the sender ships this round
+    bound: int | None
 
 
-class WorkerBarrier:
-    """Drive one shard inside a worker process on the shared schedule.
+@dataclass(slots=True)
+class Exchange:
+    """Schedule step: swap frames with shard *peer*.
 
-    Each barrier round is a pairwise exchange with every peer worker:
-    worker *i* sends ``(records bound for j, i's next event time, the
-    earliest arrival among everything i is sending this round)`` and
-    receives the same triple from *j*.  The third element lets every
-    worker compute the same global next-event time even for records
-    exchanged between two *other* workers, without an extra round trip.
+    ``key`` is the meeting time in the horizon phase and the round
+    number in the drain; both partners yield the same key, and the
+    globally least ``(key, i, j)`` is always ready on both sides.
+    """
 
-    Pipes are used in index order (lower index sends first), so the
-    rendezvous pattern is deterministic and deadlock-free for the small
-    worker counts the engine targets.  Each message travels as one
-    pre-pickled blob (:func:`pack_blob`) rather than per-object
-    ``Connection.send`` calls, and its size feeds :class:`SyncStats`.
+    key: int
+    peer: int
+    frame: Frame
+
+
+@dataclass(slots=True)
+class Stop:
+    """Schedule step: frozen at *at*; fire the due barrier actions."""
+
+    at: int
+
+
+Step = Generator["Exchange | Stop", "Frame | None", None]
+
+
+class ShardSchedule:
+    """One shard's run-ahead schedule, transport-free.
+
+    Owns the meeting heap, the re-arm clamps, the meeting agreement,
+    the replay guard, frame packing with :class:`SyncStats` accounting,
+    and the all-pairs drain.  :meth:`steps` is a generator: it drives
+    the shard's loop between rendezvous and yields each exchange (the
+    transport sends back the partner's :class:`Frame`) and each
+    barrier-action stop.  Agreement state persists across calls, so a
+    resumed horizon never replays a meeting.
     """
 
     def __init__(
         self,
         index: int,
-        peer_conns: dict[int, "Connection"],
+        peer: ShardPeer,
         lookahead: int,
+        pair_periods: dict[tuple[int, int], int],
+        shards: int,
         sync: SyncStats | None = None,
+        actions: BarrierActionQueue | None = None,
     ) -> None:
-        if lookahead < 1:
-            raise ValueError(f"lookahead must be >= 1, got {lookahead}")
         self.index = index
-        self.peer_conns = peer_conns
+        self.peer = peer
         self.lookahead = lookahead
-        self.sync = sync if sync is not None else SyncStats()
-        self.windows = 0
-        self.records_exchanged = 0
-
-    def _exchange(self, peer: ShardPeer) -> int | None:
-        """One barrier round; injects inbound records and returns the
-        global next-event time (None == global quiescence)."""
-        sync = self.sync
-        outboxes = peer.drain_outboxes()
-        head = peer.next_event_time()
-        min_out = _next_time(
-            *(
-                record.arrival
-                for records in outboxes.values()
-                for record in records
-            )
-        )
-        inbound: list[list[HopRecord]] = []
-        own = outboxes.pop(self.index, None)
-        if own:
-            inbound.append(own)
-        nxt = _next_time(head, min_out)
-        for j in sorted(self.peer_conns):
-            conn = self.peer_conns[j]
-            sending = outboxes.pop(j, [])
-            blob = pack_blob((sending, head, min_out))
-            if self.index < j:
-                conn.send_bytes(blob)
-                data = conn.recv_bytes()
-            else:
-                data = conn.recv_bytes()
-                conn.send_bytes(blob)
-            their_records, their_head, their_min_out = pickle.loads(data)
-            sync.rounds += 1
-            sync.bytes_sent += len(blob)
-            sync.bytes_received += len(data)
-            sync.records_sent += len(sending)
-            sync.records_received += len(their_records)
-            if their_records:
-                inbound.append(their_records)
-            nxt = _next_time(nxt, their_head, their_min_out)
-        if outboxes:
-            leftover = sorted(outboxes)
-            raise RuntimeError(
-                f"shard {self.index} produced records for unknown "
-                f"shards {leftover}"
-            )
-        if inbound:
-            merged = merge_sorted_records(inbound)
-            self.records_exchanged += len(merged)
-            peer.inject(merged)
-        return nxt
-
-    def run(self, peer: ShardPeer, horizon: int | None = None) -> None:
-        """Execute windows until global quiescence (or *horizon*)."""
-        lookahead = self.lookahead
-        while True:
-            nxt = self._exchange(peer)
-            if nxt is None or (horizon is not None and nxt > horizon):
-                break
-            end = window_end(nxt, lookahead)
-            deadline = end - 1 if horizon is None else min(end - 1, horizon)
-            peer.run_window(deadline)
-            self.windows += 1
-            if horizon is not None and deadline >= horizon:
-                self._exchange(peer)
-                break
-        if horizon is not None:
-            peer.advance_to(horizon)
-
-
-class ElidedSerialRunner:
-    """All shards in one process on the run-ahead rendezvous schedule.
-
-    The horizon phase walks a dynamic meeting heap: only wire-connected
-    shard pairs ever exchange, each meeting agrees on the pair's next
-    one (:func:`agree_next_meeting`), and every shard free-runs through
-    the whole safe range between its rendezvous — the keyed event loop
-    makes injection timing irrelevant to ordering, so there is no
-    per-window lockstep.  Barrier actions are supported: every shard is
-    driven to the action tick, frozen, the due actions fire in key
-    order, and all pairs re-arm to their first period multiple after
-    the tick (whatever the action did starts there, so its influence
-    cannot arrive before tick + period).  The drain phase — quiescence
-    is a *global* property, undetectable on a sparse exchange graph —
-    keeps all-pairs rounds but strides them by each shard's
-    :func:`drain_step`.
-
-    Per-shard :class:`SyncStats` are filled the way the forked workers
-    fill theirs: the same meeting agreements (computed from exchanged
-    data both executors see identically, so ``rounds``, record counts
-    and ``windows_elided`` are executor-exact) and byte counts measured
-    on the same frames — per-record blobs packed at production time
-    (:func:`pack_record`) wrapped in the same rendezvous frame a worker
-    ships, so ``bytes_*`` are executor-exact too.  Records themselves
-    are injected as the original live objects (this process shares one
-    address space), which is what lets live-generator migration run
-    under elision: the unpicklable payload is captured in the frame
-    (:class:`CapturedPayload`) but never rehydrated here.
-    """
-
-    def __init__(
-        self,
-        peers: list[ShardPeer],
-        lookahead: int,
-        pair_periods: dict[tuple[int, int], int],
-        syncs: list[SyncStats] | None = None,
-        actions: BarrierActionQueue | None = None,
-    ) -> None:
-        if lookahead < 1:
-            raise ValueError(f"lookahead must be >= 1, got {lookahead}")
-        self.peers = peers
-        self.lookahead = lookahead
-        self.pair_periods = dict(pair_periods)
-        self.syncs = (
-            syncs if syncs is not None else [SyncStats() for _ in peers]
-        )
-        #: global (cross-shard) actions fired between meetings
-        self.actions = actions
-        self.windows = 0  #: drain-phase windows (diagnostics)
-        self.records_exchanged = 0
-        #: last rendezvous time completed per pair — persisted across
-        #: ``run`` calls so a resumed horizon never replays a meeting
-        self._last_met = dict.fromkeys(self.pair_periods, 0)
-        #: the dynamic schedule: each pair's agreed next meeting time
-        #: (None == parked); persisted across ``run`` calls and clamped
-        #: at every re-entry
-        self._next_meet: dict[tuple[int, int], int | None] = {}
-        #: clock every shard has been advanced to by completed runs
-        self._completed_through = 0
-        self._drain_steps = [
-            drain_step(pair_periods, s, lookahead)
-            for s in range(len(peers))
-        ]
-
-    def run(self, horizon: int | None = None) -> None:
-        """Rendezvous schedule up to *horizon*; strided drain without."""
-        if horizon is None:
-            self._drain()
-            return
-        peers = self.peers
-        next_meet = self._next_meet
-        base = self._completed_through
-        # Re-arm clamp: driver code may have scheduled events at >= base
-        # between runs, so every pair must look again within one period.
-        for pair, period in self.pair_periods.items():
-            clamp = first_multiple_after(period, base)
-            agreed = next_meet.get(pair)
-            next_meet[pair] = (
-                clamp if agreed is None else min(agreed, clamp)
-            )
-        heap = [
-            (t, i, j)
-            for (i, j), t in next_meet.items()
-            if t is not None and t <= horizon
-        ]
-        heapify(heap)
-        # Tick each shard has already executed through (run_until is
-        # inclusive, so a rendezvous at t needs execution through t-1).
-        frontier = [base] * len(peers)
-        while True:
-            at = self._next_action_time(horizon)
-            bound = horizon if at is None else at
-            while heap and heap[0][0] <= bound:
-                t, i, j = heappop(heap)
-                if t != next_meet[(i, j)]:
-                    continue  # superseded by a re-arm clamp
-                self._meet(t, i, j, frontier, heap, horizon)
-            if at is None:
-                break
-            for s, peer in enumerate(peers):
-                if at - 1 > frontier[s]:
-                    peer.run_window(at - 1)
-                    frontier[s] = at - 1
-            for peer in peers:
-                peer.freeze_at(at)
-            for action in self.actions.take_due(at):
-                action.callback(*action.args)
-            # Whatever the action scheduled or emitted starts at `at`,
-            # so its influence cannot arrive before `at + period`:
-            # clamping every pair to its first period multiple after
-            # `at` restores meeting-before-arrival.  Extra meetings are
-            # always safe.
-            for pair, period in self.pair_periods.items():
-                clamp = first_multiple_after(period, at)
-                agreed = next_meet[pair]
-                if agreed is None or clamp < agreed:
-                    next_meet[pair] = clamp
-                    if clamp <= horizon:
-                        heappush(heap, (clamp, *pair))
-        for s, peer in enumerate(peers):
-            if horizon > frontier[s]:
-                peer.run_window(horizon)
-            peer.advance_to(horizon)
-        self._completed_through = horizon
-
-    def _next_action_time(self, horizon: int) -> int | None:
-        queue = self.actions
-        if queue is None:
-            return None
-        at = queue.next_time()
-        if at is None or at > horizon:
-            return None
-        return at
-
-    def _other_pair_bound(
-        self, shard: int, exclude: tuple[int, int]
-    ) -> int | None:
-        """Earliest *other* rendezvous of *shard* — the soonest any
-        third shard can inject new work into it (records injected at a
-        meeting never have arrivals before the meeting time)."""
-        times = [
-            t
-            for pair, t in self._next_meet.items()
-            if pair != exclude and shard in pair and t is not None
-        ]
-        return min(times) if times else None
-
-    def _meet(
-        self,
-        t: int,
-        i: int,
-        j: int,
-        frontier: list[int],
-        heap: list[tuple[int, int, int]],
-        horizon: int,
-    ) -> None:
-        """One rendezvous of pair ``(i, j)`` at time *t*: run both
-        sides to ``t - 1``, exchange, and agree on the next meeting."""
-        peers = self.peers
-        syncs = self.syncs
-        pair = (i, j)
-        last = self._last_met[pair]
-        if t <= last:
-            raise SimulationError(
-                f"rendezvous replay: pair {pair} met at {last}, "
-                f"scheduled again at {t}"
-            )
-        for s in (i, j):
-            if t - 1 > frontier[s]:
-                peers[s].run_window(t - 1)
-                frontier[s] = t - 1
-        out_ij = peers[i].take_outbox(j)
-        out_ji = peers[j].take_outbox(i)
-        head_i = peers[i].next_event_time()
-        head_j = peers[j].next_event_time()
-        bound_i = self._other_pair_bound(i, pair)
-        bound_j = self._other_pair_bound(j, pair)
-        frame_ij = pack_blob(
-            ([blob for _, blob in out_ij], head_i, bound_i)
-        )
-        frame_ji = pack_blob(
-            ([blob for _, blob in out_ji], head_j, bound_j)
-        )
-        skipped = (t - last) // self.lookahead - 1
-        for here, sent, received, frame_out, frame_in in (
-            (i, out_ij, out_ji, frame_ij, frame_ji),
-            (j, out_ji, out_ij, frame_ji, frame_ij),
-        ):
-            sync = syncs[here]
-            sync.rounds += 1
-            sync.bytes_sent += len(frame_out)
-            sync.bytes_received += len(frame_in)
-            sync.records_sent += len(sent)
-            sync.records_received += len(received)
-            if skipped > 0:
-                sync.windows_elided += skipped
-        self._last_met[pair] = t
-        records_ij = [record for record, _ in out_ij]
-        records_ji = [record for record, _ in out_ji]
-        self.records_exchanged += len(records_ij) + len(records_ji)
-        if records_ij:
-            peers[j].inject(records_ij)
-        if records_ji:
-            peers[i].inject(records_ji)
-        act_i = _next_time(
-            head_i, bound_i, *(r.arrival for r in records_ji)
-        )
-        act_j = _next_time(
-            head_j, bound_j, *(r.arrival for r in records_ij)
-        )
-        nxt = agree_next_meeting(
-            t, self.pair_periods[pair], act_i, act_j
-        )
-        self._next_meet[pair] = nxt
-        if nxt is not None and nxt <= horizon:
-            heappush(heap, (nxt, i, j))
-
-    def _drain(self) -> None:
-        """All-pairs rounds to global quiescence, strided per shard.
-
-        Mirrors what every :class:`ElidedWorkerBarrier` does in its
-        drain phase — the same rounds, frames and per-shard strides —
-        so serial and forked executions report identical sync
-        schedules and byte counts.  Barrier actions registered past the
-        horizon fire here, between rounds, exactly as the classic
-        runner fires them.
-        """
-        peers = self.peers
-        syncs = self.syncs
-        count = len(peers)
-        lookahead = self.lookahead
-        queue = self.actions
-        while True:
-            outs = [peer.drain_outboxes() for peer in peers]
-            heads = [peer.next_event_time() for peer in peers]
-            min_outs = [
-                _next_time(
-                    *(
-                        record.arrival
-                        for entries in out.values()
-                        for record, _ in entries
-                    )
-                )
-                for out in outs
-            ]
-            inbound: list[list[list[HopRecord]]] = [[] for _ in peers]
-            for s in range(count):
-                own = outs[s].pop(s, None)
-                if own:
-                    inbound[s].append([record for record, _ in own])
-            for i in range(count):
-                for j in range(i + 1, count):
-                    sent_ij = outs[i].pop(j, [])
-                    sent_ji = outs[j].pop(i, [])
-                    frame_ij = pack_blob((
-                        [blob for _, blob in sent_ij],
-                        heads[i],
-                        min_outs[i],
-                    ))
-                    frame_ji = pack_blob((
-                        [blob for _, blob in sent_ji],
-                        heads[j],
-                        min_outs[j],
-                    ))
-                    syncs[i].rounds += 1
-                    syncs[j].rounds += 1
-                    syncs[i].bytes_sent += len(frame_ij)
-                    syncs[i].bytes_received += len(frame_ji)
-                    syncs[j].bytes_sent += len(frame_ji)
-                    syncs[j].bytes_received += len(frame_ij)
-                    syncs[i].records_sent += len(sent_ij)
-                    syncs[i].records_received += len(sent_ji)
-                    syncs[j].records_sent += len(sent_ji)
-                    syncs[j].records_received += len(sent_ij)
-                    if sent_ij:
-                        inbound[j].append(
-                            [record for record, _ in sent_ij]
-                        )
-                    if sent_ji:
-                        inbound[i].append(
-                            [record for record, _ in sent_ji]
-                        )
-            for s in range(count):
-                if outs[s]:
-                    leftover = sorted(outs[s])
-                    raise RuntimeError(
-                        f"shard {s} produced records for unknown "
-                        f"shards {leftover}"
-                    )
-                if inbound[s]:
-                    merged = merge_sorted_records(inbound[s])
-                    self.records_exchanged += len(merged)
-                    peers[s].inject(merged)
-            nxt = _next_time(*heads, *min_outs)
-            at = queue.next_time() if queue is not None else None
-            if at is not None and (nxt is None or nxt >= at):
-                for peer in peers:
-                    peer.freeze_at(at)
-                for action in queue.take_due(at):
-                    action.callback(*action.args)
-                continue
-            if nxt is None:
-                break
-            # Per-shard stride: nothing new can cross into shard s
-            # before nxt + its minimum incident pair period, so each
-            # round covers period/lookahead grid windows, not one —
-            # clamped under a pending action, which must fire before
-            # any shard executes events at its tick.
-            floor = window_end(nxt, lookahead) - 1
-            for s, peer in enumerate(peers):
-                deadline = floor + self._drain_steps[s] - lookahead
-                if at is not None:
-                    deadline = min(deadline, at - 1)
-                peer.run_window(deadline)
-            self.windows += 1
-
-
-class ElidedWorkerBarrier(WorkerBarrier):
-    """One forked shard on the run-ahead rendezvous schedule.
-
-    The horizon phase walks this worker's slice of the dynamic meeting
-    heap: only wire-connected pairs, each meeting agreeing on the
-    pair's next one from data both sides exchange, so every worker
-    computes the identical schedule the serial runner does — and the
-    worker touches its pipes *only* at meetings (a dead peer therefore
-    surfaces at the next rendezvous, not at a per-window barrier).  The
-    drain phase keeps the all-pairs exchange but strides each round by
-    this shard's :func:`drain_step`.  All-pairs pipes still exist —
-    unconnected pairs stay silent until the drain.
-
-    Inbound records are rehydrated from the per-record blobs in the
-    frame; a :class:`CapturedPayload` surrogate (a live object that
-    could not pickle) cannot cross a process boundary, so meeting one
-    aborts the worker with a pointer at the serial executors.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        peer_conns: dict[int, "Connection"],
-        lookahead: int,
-        pair_periods: dict[tuple[int, int], int],
-        sync: SyncStats | None = None,
-    ) -> None:
-        super().__init__(index, peer_conns, lookahead, sync=sync)
-        #: only this worker's incident pairs — its slice of the schedule
+        #: this shard's incident pairs — its slice of the schedule
         self.pair_periods = {
             pair: period
             for pair, period in pair_periods.items()
             if index in pair
         }
+        #: every other shard, in the drain's exchange order
+        self.partners = [s for s in range(shards) if s != index]
+        self.sync = sync if sync is not None else SyncStats()
+        #: global actions the schedule stops for (read-only here; the
+        #: transport fires them once every shard has stopped)
+        self.actions = actions
+        #: last completed rendezvous per pair (the replay guard)
         self._last_met = dict.fromkeys(self.pair_periods, 0)
+        #: each pair's agreed next meeting (None == parked)
         self._next_meet: dict[tuple[int, int], int | None] = {}
+        #: clock the shard has been advanced to by completed horizons
         self._completed_through = 0
-        self._drain_step = drain_step(
-            self.pair_periods, index, lookahead
-        )
+        self._drain_step = drain_step(self.pair_periods, index, lookahead)
 
-    def _rehydrate(self, blob: bytes, sender: int) -> HopRecord:
-        """One inbound record from its production-time blob."""
-        record = unpack_record(blob)
-        if isinstance(record.packet, CapturedPayload):
-            raise SimulationError(
-                f"shard {self.index} received a captured "
-                f"{record.packet.kind} payload from shard {sender}: a "
-                "live cross-shard payload (e.g. a migrating process "
-                "generator) cannot cross a fork boundary — run this "
-                "scenario on a serial executor"
-            )
-        return record
+    def steps(self, horizon: int | None) -> Step:
+        """Run-ahead up to *horizon*; all-pairs drain without one."""
+        if horizon is None:
+            return self._drain()
+        return self._run_ahead(horizon)
+
+    def _next_action_time(self, horizon: int | None) -> int | None:
+        at = self.actions.next_time() if self.actions is not None else None
+        if at is None or (horizon is not None and at > horizon):
+            return None
+        return at
+
+    def _rearm(
+        self, after: int, horizon: int, heap: list[tuple[int, int, int]]
+    ) -> None:
+        """Move every pair's next meeting to its first period multiple
+        after *after*: whatever driver code or a barrier action did at
+        *after* cannot arrive anywhere before that.  Every meeting up to
+        *after* has run, so an agreed one is on the period grid past it
+        and never earlier than this clamp; a parked pair wakes up."""
+        for pair, period in self.pair_periods.items():
+            t = first_multiple_after(period, after)
+            self._next_meet[pair] = t
+            if t <= horizon:
+                heappush(heap, (t, *pair))
 
     def _other_pair_bound(self, exclude: tuple[int, int]) -> int | None:
-        """Earliest *other* rendezvous of this worker (see
-        :meth:`ElidedSerialRunner._other_pair_bound`)."""
-        times = [
-            t
-            for pair, t in self._next_meet.items()
-            if pair != exclude and t is not None
-        ]
-        return min(times) if times else None
-
-    def _exchange_elided(self, peer: ShardPeer) -> int | None:
-        """One all-pairs drain round over ``(record, blob)`` outboxes;
-        same frames (and counted bytes) as the serial drain."""
-        sync = self.sync
-        outboxes = peer.drain_outboxes()
-        head = peer.next_event_time()
-        min_out = _next_time(
-            *(
-                record.arrival
-                for entries in outboxes.values()
-                for record, _ in entries
-            )
+        """Earliest *other* rendezvous of this shard — the soonest any
+        third shard can inject new work into it (records injected at a
+        meeting never have arrivals before the meeting time)."""
+        return _next_time(
+            *(t for pair, t in self._next_meet.items() if pair != exclude)
         )
-        inbound: list[list[HopRecord]] = []
-        own = outboxes.pop(self.index, None)
-        if own:
-            inbound.append([record for record, _ in own])
-        nxt = _next_time(head, min_out)
-        for j in sorted(self.peer_conns):
-            conn = self.peer_conns[j]
-            sending = outboxes.pop(j, [])
-            frame = pack_blob(
-                ([blob for _, blob in sending], head, min_out)
-            )
-            if self.index < j:
-                conn.send_bytes(frame)
-                data = conn.recv_bytes()
-            else:
-                data = conn.recv_bytes()
-                conn.send_bytes(frame)
-            their_blobs, their_head, their_min_out = pickle.loads(data)
-            their_records = [
-                self._rehydrate(blob, j) for blob in their_blobs
-            ]
-            sync.rounds += 1
-            sync.bytes_sent += len(frame)
-            sync.bytes_received += len(data)
-            sync.records_sent += len(sending)
-            sync.records_received += len(their_records)
-            if their_records:
-                inbound.append(their_records)
-            nxt = _next_time(nxt, their_head, their_min_out)
-        if outboxes:
-            leftover = sorted(outboxes)
-            raise RuntimeError(
-                f"shard {self.index} produced records for unknown "
-                f"shards {leftover}"
-            )
-        if inbound:
-            merged = merge_sorted_records(inbound)
-            self.records_exchanged += len(merged)
-            peer.inject(merged)
-        return nxt
 
-    def _drain(self, peer: ShardPeer) -> None:
-        """All-pairs rounds to quiescence, striding at this shard's
-        minimum incident pair period per round (see
-        :func:`drain_step`) instead of one grid window."""
-        lookahead = self.lookahead
-        while True:
-            nxt = self._exchange_elided(peer)
-            if nxt is None:
-                break
-            floor = window_end(nxt, lookahead) - 1
-            peer.run_window(floor + self._drain_step - lookahead)
-            self.windows += 1
-
-    def run(self, peer: ShardPeer, horizon: int | None = None) -> None:
-        if horizon is None:
-            self._drain(peer)
-            return
+    def _exchange(
+        self,
+        key: int,
+        other: int,
+        entries: list[tuple[HopRecord, bytes]],
+        head: int | None,
+        bound: int | None,
+    ) -> Generator[Exchange, Frame, Frame]:
+        """Swap frames with shard *other* and count the round."""
+        frame = Frame(
+            [record for record, _ in entries],
+            pack_blob(([blob for _, blob in entries], head, bound)),
+            head,
+            bound,
+        )
+        theirs = yield Exchange(key, other, frame)
         sync = self.sync
-        index = self.index
+        sync.rounds += 1
+        sync.bytes_sent += len(frame.blob)
+        sync.bytes_received += len(theirs.blob)
+        sync.records_sent += len(entries)
+        sync.records_received += len(theirs.records)
+        return theirs
+
+    def _run_ahead(self, horizon: int) -> Step:
+        peer = self.peer
         next_meet = self._next_meet
-        base = self._completed_through
-        # Re-arm clamp at every run() entry — identical to the serial
-        # runner's, so both executors rebuild the same meeting heap.
-        for pair, period in self.pair_periods.items():
-            clamp = first_multiple_after(period, base)
-            agreed = next_meet.get(pair)
-            next_meet[pair] = (
-                clamp if agreed is None else min(agreed, clamp)
-            )
-        heap = [
-            (t, i, j)
-            for (i, j), t in next_meet.items()
-            if t is not None and t <= horizon
-        ]
-        heapify(heap)
-        frontier = base
-        while heap:
-            t, i, j = heappop(heap)
-            if t != next_meet[(i, j)]:
-                continue  # superseded by a re-arm clamp
-            pair = (i, j)
-            last = self._last_met[pair]
-            if t <= last:
-                raise SimulationError(
-                    f"rendezvous replay: pair {pair} met at {last}, "
-                    f"scheduled again at {t}"
+        heap: list[tuple[int, int, int]] = []
+        # Driver code may have scheduled anything at >= the resumed
+        # clock between runs, so every pair looks again within a period.
+        self._rearm(self._completed_through, horizon, heap)
+        # Tick already executed through (run_until is inclusive, so a
+        # rendezvous at t needs execution through t - 1).
+        frontier = self._completed_through
+        while True:
+            at = self._next_action_time(horizon)
+            limit = horizon if at is None else at
+            while heap and heap[0][0] <= limit:
+                t, i, j = heappop(heap)
+                pair = (i, j)
+                if t != next_meet[pair]:
+                    continue  # superseded by a re-arm clamp
+                last = self._last_met[pair]
+                if t <= last:
+                    raise SimulationError(
+                        f"rendezvous replay: pair {pair} met at {last}, "
+                        f"scheduled again at {t}"
+                    )
+                if t - 1 > frontier:
+                    peer.run_window(t - 1)
+                    frontier = t - 1
+                other = j if self.index == i else i
+                out = peer.take_outbox(other)
+                head = peer.next_event_time()
+                bound = self._other_pair_bound(pair)
+                theirs = yield from self._exchange(
+                    t, other, out, head, bound
                 )
-            if t - 1 > frontier:
-                peer.run_window(t - 1)
-                frontier = t - 1
-            other = j if index == i else i
-            conn = self.peer_conns[other]
-            out = peer.take_outbox(other)
-            head = peer.next_event_time()
-            bound = self._other_pair_bound(pair)
-            frame = pack_blob(
-                ([blob for _, blob in out], head, bound)
-            )
-            if index < other:
-                conn.send_bytes(frame)
-                data = conn.recv_bytes()
-            else:
-                data = conn.recv_bytes()
-                conn.send_bytes(frame)
-            their_blobs, their_head, their_bound = pickle.loads(data)
-            inbound = [
-                self._rehydrate(blob, other) for blob in their_blobs
-            ]
-            sync.rounds += 1
-            sync.bytes_sent += len(frame)
-            sync.bytes_received += len(data)
-            sync.records_sent += len(out)
-            sync.records_received += len(inbound)
-            skipped = (t - last) // self.lookahead - 1
-            if skipped > 0:
-                sync.windows_elided += skipped
-            self._last_met[pair] = t
-            if inbound:
-                self.records_exchanged += len(inbound)
-                peer.inject(inbound)
-            act_mine = _next_time(
-                head, bound, *(r.arrival for r in inbound)
-            )
-            act_theirs = _next_time(
-                their_head,
-                their_bound,
-                *(record.arrival for record, _ in out),
-            )
-            nxt = agree_next_meeting(
-                t, self.pair_periods[pair], act_mine, act_theirs
-            )
-            next_meet[pair] = nxt
-            if nxt is not None and nxt <= horizon:
-                heappush(heap, (nxt, i, j))
+                skipped = (t - last) // self.lookahead - 1
+                if skipped > 0:
+                    self.sync.windows_elided += skipped
+                self._last_met[pair] = t
+                if theirs.records:
+                    peer.inject(theirs.records)
+                nxt = agree_next_meeting(
+                    t,
+                    self.pair_periods[pair],
+                    _next_time(
+                        head, bound, *(r.arrival for r in theirs.records)
+                    ),
+                    _next_time(
+                        theirs.head,
+                        theirs.bound,
+                        *(record.arrival for record, _ in out),
+                    ),
+                )
+                next_meet[pair] = nxt
+                if nxt is not None and nxt <= horizon:
+                    heappush(heap, (nxt, i, j))
+            if at is None:
+                break
+            if at - 1 > frontier:
+                peer.run_window(at - 1)
+                frontier = at - 1
+            peer.freeze_at(at)
+            yield Stop(at)
+            self._rearm(at, horizon, heap)
         if horizon > frontier:
             peer.run_window(horizon)
         peer.advance_to(horizon)
         self._completed_through = horizon
+
+    def _drain(self) -> Step:
+        """All-pairs rounds to global quiescence, each strided by this
+        shard's :func:`drain_step`; barrier actions registered past the
+        horizon fire between rounds."""
+        peer = self.peer
+        lookahead = self.lookahead
+        round_no = 0
+        while True:
+            outboxes = peer.drain_outboxes()
+            head = peer.next_event_time()
+            min_out = _next_time(
+                *(
+                    record.arrival
+                    for entries in outboxes.values()
+                    for record, _ in entries
+                )
+            )
+            nxt = _next_time(head, min_out)
+            inbound: list[list[HopRecord]] = []
+            for other in self.partners:
+                theirs = yield from self._exchange(
+                    round_no, other, outboxes.pop(other, []), head, min_out
+                )
+                if theirs.records:
+                    inbound.append(theirs.records)
+                nxt = _next_time(nxt, theirs.head, theirs.bound)
+            if outboxes:
+                raise SimulationError(
+                    f"shard {self.index} produced records for unknown "
+                    f"shards {sorted(outboxes)} at t={peer.now()}"
+                )
+            if inbound:
+                peer.inject(merge_sorted_records(inbound))
+            round_no += 1
+            at = self._next_action_time(None)
+            if at is not None and (nxt is None or nxt >= at):
+                peer.freeze_at(at)
+                yield Stop(at)
+                continue
+            if nxt is None:
+                return
+            deadline = window_end(nxt, lookahead) - 1
+            deadline += self._drain_step - lookahead
+            if at is not None:
+                deadline = min(deadline, at - 1)
+            peer.run_window(deadline)
+
+
+def _resume(steps: Step, value: Frame | None) -> Exchange | Stop | None:
+    try:
+        return steps.send(value)
+    except StopIteration:
+        return None
+
+
+def run_in_process(
+    schedules: list[ShardSchedule],
+    horizon: int | None,
+    actions: BarrierActionQueue | None = None,
+) -> None:
+    """Drive every shard's schedule in this process.
+
+    Repeatedly pairs the globally least pending exchange — by the
+    schedule's ordering argument it is pending on both sides — and
+    hands each side the other's frame, live records included.  When
+    every shard has stopped at a barrier action, fires the due actions
+    in key order and resumes them all.
+    """
+    runs = [schedule.steps(horizon) for schedule in schedules]
+    pending = [_resume(steps, None) for steps in runs]
+    while True:
+        meetings = [
+            (step.key, min(s, step.peer), max(s, step.peer))
+            for s, step in enumerate(pending)
+            if isinstance(step, Exchange)
+        ]
+        if meetings:
+            key, i, j = min(meetings)
+            low, high = pending[i], pending[j]
+            if not all(
+                isinstance(step, Exchange)
+                and (step.key, step.peer) == (key, other)
+                for step, other in ((low, j), (high, i))
+            ):
+                raise SimulationError(
+                    f"rendezvous desync: shards {i} and {j} are not both "
+                    f"at exchange {key}"
+                )
+            pending[i] = _resume(runs[i], high.frame)
+            pending[j] = _resume(runs[j], low.frame)
+            continue
+        stops = [step for step in pending if step is not None]
+        if not stops:
+            return
+        for action in actions.take_due(stops[0].at):
+            action.callback(*action.args)
+        pending = [_resume(steps, None) for steps in runs]
+
+
+def run_over_pipes(
+    schedule: ShardSchedule,
+    conns: dict[int, "Connection"],
+    horizon: int | None,
+) -> None:
+    """Drive one shard's schedule from a forked worker.
+
+    Each exchange is one ``send_bytes``/``recv_bytes`` pair on the pipe
+    to the partner (lower index sends first, so the rendezvous pattern
+    is deadlock-free); inbound records are rehydrated from their
+    production-time blobs.
+    """
+    steps = schedule.steps(horizon)
+    index = schedule.index
+    step = _resume(steps, None)
+    while step is not None:
+        other = step.peer
+        conn = conns[other]
+        if index < other:
+            conn.send_bytes(step.frame.blob)
+            data = conn.recv_bytes()
+        else:
+            data = conn.recv_bytes()
+            conn.send_bytes(step.frame.blob)
+        blobs, head, bound = pickle.loads(data)
+        records = [_rehydrate(blob, index, other) for blob in blobs]
+        step = _resume(steps, Frame(records, data, head, bound))
+
+
+def _rehydrate(blob: bytes, index: int, sender: int) -> HopRecord:
+    """One inbound record from its production-time blob."""
+    record = unpack_record(blob)
+    if isinstance(record.packet, CapturedPayload):
+        raise SimulationError(
+            f"shard {index} received a captured {record.packet.kind} "
+            f"payload from shard {sender}: a live cross-shard payload "
+            "(e.g. a migrating process generator) cannot cross a fork "
+            "boundary — run this scenario on the serial executor"
+        )
+    return record

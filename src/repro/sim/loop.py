@@ -55,9 +55,9 @@ class EventLoop:
         """Time of the earliest live event, or None when the queue is
         empty.
 
-        The windowed (sharded) executor uses this between ``run_until``
-        calls to pick the next conservative time window; pure peek, no
-        state change.
+        The sharded engine's schedule uses this between ``run_until``
+        calls to agree on its next rendezvous; pure peek, no state
+        change.
         """
         return self._queue.peek_time()
 
@@ -222,21 +222,20 @@ class EventLoop:
 class KeyedEventLoop(EventLoop):
     """An event loop whose same-tick tie-break is data, not call order.
 
-    The classic loop orders same-tick events by a monotone sequence
-    number, so the interleaving of barrier-injected hop records with
-    locally scheduled events depends on *when* records are injected.
-    The barrier-elision executor injects records at pair-specific
-    cadences (see :mod:`repro.sim.barrier`), so it needs a tie-break
-    that is a pure function of the simulation state instead:
+    The plain loop orders same-tick events by a monotone sequence
+    number, so the interleaving of injected hop records with locally
+    scheduled events would depend on *when* records are injected.  The
+    sharded engine injects records at pair-specific rendezvous (see
+    :mod:`repro.sim.barrier`), so it needs a tie-break that is a pure
+    function of the simulation state instead:
 
     - a **local** event scheduled while the clock sits in grid window
       ``g`` gets key ``(g, 0, n)`` with ``n`` a per-loop monotone
-      counter — same relative order the classic loop would assign;
+      counter — same relative order the plain loop would assign;
     - a **hop record** produced in grid window ``g`` gets key
       ``(g, 1, src, dst, wire_seq)`` — the canonical barrier order,
       slotted after window-``g`` locals and before window-``g + 1``
-      events, exactly where the classic per-window barrier would have
-      injected it.
+      events, exactly where a barrier at every window would inject it.
 
     With these keys the heap order is independent of injection timing
     (a record may arrive one window early or five windows late and

@@ -3,25 +3,29 @@
 A :class:`ShardedSystem` is the multi-loop sibling of
 :class:`repro.core.system.System`: the machine set is partitioned into
 ``config.shards`` shards, each with its own event loop, tracer, metrics
-registry, :class:`~repro.net.network.ShardNetwork` and kernels.  Shards
-execute conservative time windows in lockstep (see
-:mod:`repro.sim.barrier`), exchanging in-flight packet hops at window
-barriers — DEMOS/MP is "per-processor kernels" by construction, so the
-machine boundary is exactly the distribution boundary.
+registry, :class:`~repro.net.network.ShardNetwork` and kernels.  Each
+shard runs ahead on its own between pairwise rendezvous, exchanging
+in-flight packet hops with the shards its wires reach (see
+:mod:`repro.sim.barrier`) — DEMOS/MP is "per-processor kernels" by
+construction, so the machine boundary is exactly the distribution
+boundary.
 
-Two executors share one window schedule:
+Every shard's schedule is one :class:`~repro.sim.barrier.ShardSchedule`;
+two executors drive the same objects:
 
-- **serial** — every shard driven by one process
-  (:class:`~repro.sim.barrier.SerialBarrierRunner`).  Fully general:
-  live process generators may migrate across shard boundaries because
-  everything shares an address space.  ``shards=1`` under this executor
-  is the determinism reference.
-- **fork** — one ``multiprocessing`` (fork) worker per shard
-  (:class:`~repro.sim.barrier.WorkerBarrier`).  This is the throughput
-  executor; everything that crosses a shard boundary must pickle, which
-  holds for ordinary message payloads but *not* for a live process
-  generator — scenario code that migrates processes across shards must
-  keep to the serial executor (intra-shard migration is fine anywhere).
+- **serial** — every shard in one process
+  (:func:`~repro.sim.barrier.run_in_process`).  Fully general: live
+  process generators may migrate across shard boundaries because
+  everything shares an address space, and barrier actions (fail-stop
+  crashes) fire here.  ``shards=1`` under this executor is the
+  determinism reference.
+- **fork** — one ``multiprocessing`` (fork) worker per shard, talking
+  over pairwise pipes (:func:`~repro.sim.barrier.run_over_pipes`).
+  This is the throughput executor; everything that crosses a shard
+  boundary must pickle, which holds for ordinary message payloads but
+  *not* for a live process generator — scenario code that migrates
+  processes across shards must keep to the serial executor
+  (intra-shard migration is fine anywhere).
 
 Partitioning is topology-aware: machine ids are split into contiguous
 near-even ranges, snapped to an alignment that keeps each neighbourhood
@@ -30,7 +34,7 @@ bulk local traffic stay inside one shard.
 
 Determinism: every gated counter is byte-identical for every shard
 count.  The argument lives in :mod:`repro.sim.barrier`; the engine-side
-obligations are (a) all hops go through barrier outboxes, (b) per-wire
+obligations are (a) every hop is a keyed record, (b) per-wire
 state lives with the wire's source shard, (c) build-time event order is
 the single global order of this module's constructors, and (d) scenario
 drivers anchor decisions to per-machine state (see
@@ -56,12 +60,11 @@ from repro.net.topology import MachineId, Topology
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.sim.barrier import (
     BarrierActionQueue,
-    ElidedSerialRunner,
-    ElidedWorkerBarrier,
-    SerialBarrierRunner,
-    WorkerBarrier,
+    ShardSchedule,
+    run_in_process,
+    run_over_pipes,
 )
-from repro.sim.loop import EventLoop, KeyedEventLoop
+from repro.sim.loop import KeyedEventLoop
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 
@@ -187,7 +190,7 @@ class Shard:
 
     index: int
     machines: list[MachineId]
-    loop: EventLoop
+    loop: KeyedEventLoop
     tracer: Tracer
     metrics: MetricsRegistry
     network: ShardNetwork
@@ -195,19 +198,22 @@ class Shard:
 
 
 class ShardRuntime:
-    """Adapter giving the barrier runners their ``ShardPeer`` surface."""
+    """Adapter giving a shard schedule its ``ShardPeer`` surface."""
 
     __slots__ = ("shard",)
 
     def __init__(self, shard: Shard) -> None:
         self.shard = shard
 
+    def now(self) -> int:
+        return self.shard.loop.now
+
     def next_event_time(self) -> int | None:
         return self.shard.loop.next_event_time()
 
     def run_window(self, deadline: int) -> None:
-        # A resumed elided run can revisit rendezvous ticks the drain
-        # already executed past; behind-the-clock deadlines are no-ops.
+        # A resumed run can revisit rendezvous ticks the drain already
+        # executed past; behind-the-clock deadlines are no-ops.
         if deadline >= self.shard.loop.now:
             self.shard.loop.run_until(deadline)
 
@@ -216,17 +222,16 @@ class ShardRuntime:
             self.shard.loop.run_until(time)
 
     def freeze_at(self, time: int) -> None:
-        # Barrier actions fire *before* the window containing their
-        # tick: move the clock only, never execute events at `time`
-        # (run_until is inclusive and would).
+        # Barrier actions fire *before* any event at their tick: move
+        # the clock only (run_until is inclusive and would execute).
         clock = self.shard.loop.clock
         if time > clock.now:
             clock.advance_to(time)
 
-    def drain_outboxes(self) -> dict[int, list["HopRecord"]]:
+    def drain_outboxes(self) -> dict[int, list]:
         return self.shard.network.take_outboxes()
 
-    def take_outbox(self, dest: int) -> list["HopRecord"]:
+    def take_outbox(self, dest: int) -> list:
         return self.shard.network.take_outbox(dest)
 
     def inject(self, records: list["HopRecord"]) -> None:
@@ -285,12 +290,8 @@ class ShardedSystem:
         self.shards: list[Shard] = []
         kernel_config = self.config.kernel_config()
         programs = registered_programs()
-        elision = self.config.barrier_elision
         for index, machines in enumerate(self.plan.shards):
-            loop: EventLoop = (
-                KeyedEventLoop(self.plan.lookahead) if elision
-                else EventLoop()
-            )
+            loop = KeyedEventLoop(self.plan.lookahead)
             tracer = Tracer(
                 (lambda _loop=loop: _loop.now),
                 max_records=self.config.max_trace_records,
@@ -308,7 +309,6 @@ class ShardedSystem:
                 faults=self.config.faults,
                 rto=self.config.rto,
                 metrics=metrics,
-                elide_grid=self.plan.lookahead if elision else None,
             )
             kernels = {
                 machine: Kernel(
@@ -335,25 +335,21 @@ class ShardedSystem:
                 )
             )
             self.shards.append(shard)
-        runtimes = [ShardRuntime(shard) for shard in self.shards]
-        #: global (cross-shard) actions fired between windows — the
-        #: fail-stop crash hook; empty unless chaos registers actions
+        #: global (cross-shard) actions fired with every shard stopped
+        #: — the fail-stop crash hook; empty unless chaos registers some
         self._barrier_actions = BarrierActionQueue(self.plan.lookahead)
-        if elision:
-            self._runner: SerialBarrierRunner | ElidedSerialRunner = (
-                ElidedSerialRunner(
-                    runtimes,
-                    self.plan.lookahead,
-                    self.plan.pair_periods,
-                    syncs=[shard.network.sync for shard in self.shards],
-                    actions=self._barrier_actions,
-                )
-            )
-        else:
-            self._runner = SerialBarrierRunner(
-                runtimes, self.plan.lookahead,
+        self._schedules = [
+            ShardSchedule(
+                shard.index,
+                ShardRuntime(shard),
+                self.plan.lookahead,
+                self.plan.pair_periods,
+                len(self.shards),
+                sync=shard.network.sync,
                 actions=self._barrier_actions,
             )
+            for shard in self.shards
+        ]
         #: set once a forked execution has consumed this system
         self._forked = False
         if self.config.boot_servers:
@@ -415,23 +411,19 @@ class ShardedSystem:
         callback: Callable[..., None],
         *args: Any,
     ) -> None:
-        """Schedule a *global* action at the window barrier at *time*.
+        """Schedule a *global* action at *time*.
 
         Unlike :meth:`call_at`, the callback is not anchored to one
-        machine's loop: it fires between windows, when every shard has
-        executed all events strictly before *time* and frozen its clock
-        there — so it may touch state on several shards atomically
-        (fail-stop crash recovery does).  *time* must sit on the window
-        grid (a multiple of ``plan.lookahead``); *key* is pure data and
-        orders same-tick actions deterministically.
-
-        Both serial engines support this: the classic runner fires due
-        actions between windows, and the elided runner drives every
-        shard to the action tick, fires, and re-arms its rendezvous
-        schedule (the action's influence cannot arrive anywhere before
-        tick + pair period, so clamped meetings stay conservative).
-        Only the forked executor refuses — its workers have no global
-        rendezvous a cross-shard mutation could ride on.
+        machine's loop: it fires when every shard has executed all
+        events strictly before *time* and frozen its clock there — so it
+        may touch state on several shards atomically (fail-stop crash
+        recovery does).  *time* must sit on the window grid (a multiple
+        of ``plan.lookahead``); *key* is pure data and orders same-tick
+        actions deterministically.  Every shard schedule then re-arms
+        its rendezvous (the action's influence cannot arrive anywhere
+        before tick + pair period).  Only the serial executor supports
+        this — forked workers have no global stop a cross-shard
+        mutation could ride on.
         """
         try:
             self._barrier_actions.add(time, key, callback, *args)
@@ -448,7 +440,7 @@ class ShardedSystem:
         replicated so each shard routes identically), hands the dead
         machine's receive-stream state to the executor's transport, and
         abandons the dead machine's unacknowledged sends.  Call only
-        from a barrier action — mid-window the shards disagree on time.
+        from a barrier action — otherwise the shards disagree on time.
         """
         dead_net = self.shard_for(dead).network
         exec_net = self.shard_for(executor).network
@@ -533,14 +525,14 @@ class ShardedSystem:
     # ------------------------------------------------------------------
 
     def run(self, until: int | None = None) -> None:
-        """Serial windowed execution; with *until*, stop the clocks there."""
+        """Serial run-ahead execution; with *until*, stop the clocks
+        there, without it run to global quiescence."""
         self._require_not_forked()
-        self._runner.run(horizon=until)
+        run_in_process(self._schedules, until, self._barrier_actions)
 
     def drain(self) -> None:
         """Serial execution to global quiescence."""
-        self._require_not_forked()
-        self._runner.run(horizon=None)
+        self.run(until=None)
 
     def execute(
         self,
@@ -552,9 +544,9 @@ class ShardedSystem:
 
         ``collect`` runs against each shard after quiescence — in this
         process (serial) or inside the owning worker (fork), where it
-        must return something picklable.  Both executors follow the
-        identical window schedule, so the collected results match
-        byte for byte.
+        must return something picklable.  Both executors drive the
+        same shard schedules, so the collected results match byte for
+        byte.
         """
         if executor == "serial":
             self.run(until=until)
@@ -584,8 +576,7 @@ class ShardedSystem:
             )
         if "fork" not in multiprocessing.get_all_start_methods():
             # No fork on this platform: the serial executor computes the
-            # identical result (the schedule is shared), just without
-            # parallel speedup.
+            # identical result, just without parallel speedup.
             return self.execute(until, collect, executor="serial")
         self._forked = True
         ctx = multiprocessing.get_context("fork")
@@ -637,7 +628,7 @@ class ShardedSystem:
                 "a common cause is a live cross-shard payload (e.g. "
                 "migrating a live process generator between shards), "
                 "which cannot cross a fork boundary — the serial "
-                "executors (classic and elided) support it"
+                "executor supports it"
             )
         return results
 
@@ -660,6 +651,19 @@ class ShardedSystem:
     def kernels_in_machine_order(self) -> list[Kernel]:
         """Every kernel, ordered by machine id."""
         return [self.kernel(m) for m in self.topology.machines]
+
+    def networks(self) -> list[ShardNetwork]:
+        """Every shard's network facade, in shard order (redirects are
+        replicated, so any one answers routing questions)."""
+        return [shard.network for shard in self.shards]
+
+    def tracer_for(self, machine: MachineId) -> Tracer:
+        """The tracer of the shard owning *machine*."""
+        return self.shard_for(machine).tracer
+
+    def metrics_for(self, machine: MachineId) -> MetricsRegistry:
+        """The metrics registry of the shard owning *machine*."""
+        return self.shard_for(machine).metrics
 
     def kernel_hosting(self, pid: ProcessId) -> Kernel | None:
         """The kernel where *pid* currently lives (omniscient; only
@@ -738,28 +742,17 @@ def _forked_worker(
 ) -> None:  # pragma: no cover — runs in forked children
     """Worker body: drive one shard to quiescence, ship the collection.
 
-    Runs in a forked child, so it inherits the fully built system; it
-    only ever *executes* its own shard's loop.  (Coverage is measured
-    in the parent; the serial executor exercises the same barrier
-    schedule in-process.)
+    Runs in a forked child, so it inherits the fully built system and
+    its shard schedules; it only ever *executes* its own shard.  The
+    pipe loop is :func:`~repro.sim.barrier.run_over_pipes`; the schedule
+    it drives is the one the serial executor runs in-process.
     """
     for i, conns in pair_conns.items():
-        for j, conn in conns.items():
+        for conn in conns.values():
             if i != index:
                 conn.close()
-    network = system.shards[index].network
-    if system.config.barrier_elision:
-        barrier: WorkerBarrier = ElidedWorkerBarrier(
-            index, pair_conns[index], system.plan.lookahead,
-            system.plan.pair_periods, sync=network.sync,
-        )
-    else:
-        barrier = WorkerBarrier(
-            index, pair_conns[index], system.plan.lookahead,
-            sync=network.sync,
-        )
-    runtime = ShardRuntime(system.shards[index])
-    barrier.run(runtime, horizon=until)
-    barrier.run(runtime, horizon=None)
+    schedule = system._schedules[index]
+    run_over_pipes(schedule, pair_conns[index], until)
+    run_over_pipes(schedule, pair_conns[index], None)
     result_conn.send(collect(system.shards[index]))
     result_conn.close()

@@ -98,8 +98,8 @@ class SystemReport:
     per_machine_load: dict[int, int] = field(default_factory=dict)
     #: injected chaos faults by kind (empty when no campaign ran)
     chaos_faults: dict[str, int] = field(default_factory=dict)
-    #: barrier/sync traffic between shard workers (empty off the
-    #: sharded engine; a function of shard count, not of the workload)
+    #: rendezvous traffic between shards (empty off the sharded
+    #: engine; a function of shard count, not of the workload)
     sync_overhead: dict[str, int] = field(default_factory=dict)
     #: end-to-end request latency digest (None without a closed-loop run)
     request_latency: dict[str, Any] | None = None
@@ -128,7 +128,7 @@ class SystemReport:
         if any(self.sync_overhead.values()):
             sync = self.sync_overhead
             out.append(
-                f"shard sync: {sync.get('rounds', 0)} barrier rounds, "
+                f"shard sync: {sync.get('rounds', 0)} rendezvous rounds, "
                 f"{sync.get('records_sent', 0)} records / "
                 f"{sync.get('bytes_sent', 0)} bytes shipped, "
                 f"{sync.get('windows_elided', 0)} windows elided"
@@ -254,20 +254,11 @@ def report_from_snapshot(
     )
 
 
-def collect_report(system: "System") -> SystemReport:
-    """Build a :class:`SystemReport` from a (possibly running) system."""
-    return report_from_snapshot(
-        system.metrics.snapshot(),
-        now=system.loop.now,
-        machines=len(system.kernels),
-    )
+def collect_report(system: "System | ShardedSystem") -> SystemReport:
+    """Build a :class:`SystemReport` from a (possibly running) system.
 
-
-def collect_sharded_report(system: "ShardedSystem") -> SystemReport:
-    """Build one :class:`SystemReport` from a sharded system.
-
-    Takes each shard registry's snapshot and folds them with
-    :func:`repro.obs.metrics.merge_snapshots`, so the report reads
+    On the sharded engine the snapshot is every shard registry merged
+    (:func:`repro.obs.metrics.merge_snapshots`), so the report reads
     exactly like a single-loop run's: counters sum, the request-latency
     histogram is the merged distribution across all shards.
     """
@@ -275,20 +266,4 @@ def collect_sharded_report(system: "ShardedSystem") -> SystemReport:
         system.snapshot(),
         now=system.now(),
         machines=system.config.machines,
-    )
-
-
-def sharded_report_from_snapshots(
-    snapshots: list[MetricsSnapshot], now: int, machines: int
-) -> SystemReport:
-    """Assemble one report from already-collected per-shard snapshots.
-
-    The fork executor ships each worker's :class:`MetricsSnapshot` back
-    over a pipe; this merges them without needing the (stale) parent
-    system object.
-    """
-    from repro.obs.metrics import merge_snapshots
-
-    return report_from_snapshot(
-        merge_snapshots(snapshots), now=now, machines=machines
     )

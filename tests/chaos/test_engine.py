@@ -240,20 +240,20 @@ class TestEngineDiscipline:
             FaultEvent(10_000, "crash", "machine 3 -> executor 1"),
         ]
 
-    def test_sharded_crash_under_barrier_elision(self):
-        # Run-ahead elision supports barrier actions in the serial
-        # executors: the runner drives every shard to the action tick,
-        # fires it frozen, and re-arms the rendezvous schedule.
+    def test_sharded_crash_under_runahead(self):
+        # A crash inside a run-ahead horizon (rather than in the drain):
+        # every shard schedule runs to the action tick, stops frozen,
+        # and re-arms its rendezvous once the action has fired.
         system = ShardedSystem(SystemConfig(
             machines=4, topology="torus", latency=1_000, shards=2,
-            barrier_elision=True, backbone_latency=1_000,
+            backbone_latency=2_000,
         ))
         pid = system.spawn(parked, machine=3, name="victim")
         engine = ChaosEngine(system, ChaosScenario(
             "t", (CrashMachine(at=10_000, machine=3, executor=1),),
         ))
         engine.install()
-        system.drain()
+        system.run(until=50_000)
         assert system.kernel(3).crashed
         assert pid in system.kernel(1).processes
         assert engine.counts == {"crash": 1}

@@ -1,13 +1,15 @@
-"""Barrier elision: keyed tie-breaks, rendezvous cadence, sync stats.
+"""Run-ahead rendezvous: keyed tie-breaks, pair cadence, sync stats.
 
-The elided engine's claim is the classic determinism gate plus one
-more: with ``barrier_elision=True`` the gated counters are identical
-not only across shard counts but also to the classic engine on the
-same topology — the keyed event loop reproduces the classic injection
-order bitwise, so skipping barriers is unobservable in the simulation.
+The sharded engine's claim is the determinism gate: the gated counters
+are identical across shard counts and executors, with ``shards=1`` on
+the serial executor as the reference — the keyed event loop makes
+injection timing invisible, so skipping rendezvous is unobservable in
+the simulation.
 """
 
 import pickle
+import threading
+from multiprocessing import Pipe
 
 import pytest
 
@@ -16,17 +18,18 @@ from repro.errors import ClockError, ConfigError, SimulationError
 from repro.net.topology import Topology
 from repro.sim.barrier import (
     CapturedPayload,
-    ElidedSerialRunner,
     HopRecord,
+    ShardSchedule,
     SyncStats,
-    WorkerBarrier,
     merge_sorted_records,
     pack_blob,
     pack_record,
-    rendezvous_schedule,
+    run_in_process,
+    run_over_pipes,
     sort_records,
     unpack_record,
 )
+from repro.net.network import ShardNetwork
 from repro.sim.loop import EventLoop, KeyedEventLoop
 from repro.sim.shard import ShardedSystem, ShardPlan
 from repro.workloads.pingpong import echo_server, pinger
@@ -104,17 +107,6 @@ class TestKeyedEventLoop:
 # ---------------------------------------------------------------------------
 # Schedule / merge helpers
 # ---------------------------------------------------------------------------
-
-
-class TestRendezvousSchedule:
-    def test_pairs_meet_at_their_own_cadence(self):
-        schedule = rendezvous_schedule({(0, 1): 2, (1, 2): 3}, 6)
-        assert schedule == [
-            (2, 0, 1), (3, 1, 2), (4, 0, 1), (6, 0, 1), (6, 1, 2),
-        ]
-
-    def test_empty_before_first_period(self):
-        assert rendezvous_schedule({(0, 1): 1000}, 999) == []
 
 
 class TestMergeSortedRecords:
@@ -281,41 +273,36 @@ class TestConfigValidation:
             ).validate()
 
     def test_elision_needs_nonzero_latency(self):
-        with pytest.raises(ConfigError, match="elision"):
-            SystemConfig(
-                machines=4, latency=0, barrier_elision=True,
-            ).validate()
+        # The minimum wire latency is the grid record keys live on.
+        with pytest.raises(ConfigError, match=r"latency >= 1"):
+            SystemConfig(machines=4, latency=0, shards=2).validate()
 
     def test_elision_needs_a_keyed_loop(self):
-        from repro.net.network import ShardNetwork
-
         with pytest.raises(SimulationError, match="KeyedEventLoop"):
             ShardNetwork(
                 EventLoop(), Topology.line(2, latency=100),
                 shard_index=0, shard_of=lambda m: 0, machines=[0, 1],
-                elide_grid=100,
             )
 
 
 # ---------------------------------------------------------------------------
-# Satellite: WorkerBarrier error paths
+# Schedule error paths
 # ---------------------------------------------------------------------------
 
 
 class _StubPeer:
-    """Just enough ShardPeer for exercising barrier error paths."""
+    """Just enough ShardPeer for exercising schedule error paths."""
 
-    def __init__(self, outboxes):
-        self._outboxes = outboxes
-        self.injected = []
+    def __init__(self, outboxes=None):
+        self._outboxes = outboxes or {}
+
+    def now(self):
+        return 7_000
 
     def next_event_time(self):
         return None
 
     def run_window(self, deadline):
-        raise AssertionError("should not run")
-
-    def advance_to(self, time):
         pass
 
     def drain_outboxes(self):
@@ -325,29 +312,46 @@ class _StubPeer:
     def take_outbox(self, dest):
         return self._outboxes.pop(dest, [])
 
-    def inject(self, records):
-        self.injected.extend(records)
 
-
-class TestWorkerBarrierErrors:
+class TestScheduleErrors:
     def test_unknown_destination_shard_is_an_error(self):
-        barrier = WorkerBarrier(0, {}, 1_000)
-        peer = _StubPeer({5: [HopRecord(10, 0, 1, 1, None)]})
-        with pytest.raises(RuntimeError, match=r"unknown\s+shards \[5\]"):
-            barrier._exchange(peer)
+        entry = (HopRecord(10, 0, 1, 1, None), b"")
+        schedule = ShardSchedule(0, _StubPeer({5: [entry]}), 1_000, {}, 1)
+        with pytest.raises(
+            SimulationError, match=r"shard 0 .*unknown shards \[5\] at t=7000"
+        ):
+            run_in_process([schedule], None)
 
     def test_own_shard_records_loop_back_without_a_pipe(self):
-        record = HopRecord(10, 0, 1, 1, None)
-        barrier = WorkerBarrier(0, {}, 1_000)
-        peer = _StubPeer({0: [record]})
-        assert barrier._exchange(peer) == 10
-        assert peer.injected == [record]
+        """A hop whose next stop is in the same shard is scheduled on
+        the loop at once — it never waits in an outbox."""
+        loop = KeyedEventLoop(100)
+        network = ShardNetwork(
+            loop, Topology.line(2, latency=100),
+            shard_index=0, shard_of=lambda m: 0, machines=[0, 1],
+        )
+        got = []
+        network.register_receiver(1, lambda src, payload: got.append(payload))
+        network.send(0, 1, "hello", 5)
+        assert network.take_outboxes() == {}
+        loop.run()
+        assert got == ["hello"]
+
+    def test_desync_is_refused(self):
+        """Partners that disagree on a meeting would hand frames to the
+        wrong exchange; the in-process transport must refuse."""
+        schedules = [
+            ShardSchedule(s, _StubPeer(), 1_000, {(0, 1): period}, 2)
+            for s, period in ((0, 1_000), (1, 2_000))
+        ]
+        with pytest.raises(SimulationError, match="desync"):
+            run_in_process(schedules, 5_000)
 
     def test_dead_worker_is_diagnosed_not_hung(self):
         """A worker that dies mid-exchange (unpicklable cross-shard
         payload) must surface as SimulationError with exit codes, not
         deadlock its peers."""
-        system = _build_pingpong(shards=2, elide=False, backbone=None)
+        system = _build_pingpong(shards=2, backbone=None)
         # A payload closure over a generator cannot cross the pipe.
         gen = (x for x in range(3))
         system.schedule_spawn(
@@ -376,11 +380,11 @@ def _poison_sender(ctx, payload):
 # ---------------------------------------------------------------------------
 
 
-def _build_pingpong(shards, elide, backbone, machines=8):
+def _build_pingpong(shards, backbone, machines=8):
     system = ShardedSystem(SystemConfig(
         machines=machines, topology="torus", latency=1_000,
         shards=shards, trace_categories=(), metrics_enabled=False,
-        barrier_elision=elide, backbone_latency=backbone,
+        backbone_latency=backbone,
     ))
     boards = [ResultsBoard() for _ in system.shards]
     for m in range(machines):
@@ -412,8 +416,8 @@ def _collect(shard):
     }
 
 
-def _run(shards, elide, backbone, executor=None, until=300_000):
-    system = _build_pingpong(shards, elide, backbone)
+def _run(shards, backbone, executor=None, until=300_000):
+    system = _build_pingpong(shards, backbone)
     executor = executor or ("serial" if shards == 1 else "fork")
     parts = system.execute(
         until,
@@ -430,20 +434,22 @@ def _run(shards, elide, backbone, executor=None, until=300_000):
 
 
 class TestElisionParity:
+    """``shards=1`` on the serial executor is the reference (every
+    committed baseline pins its counters)."""
+
     def test_elided_counters_match_classic_uniform_latency(self):
-        reference, _ = _run(1, False, None)
-        assert _run(1, True, None)[0] == reference
-        assert _run(2, True, None)[0] == reference
+        reference, _ = _run(1, None)
+        assert _run(2, None, executor="serial")[0] == reference
+        assert _run(2, None)[0] == reference
 
     def test_elided_counters_match_classic_backbone(self):
-        reference, _ = _run(1, False, 4_000)
-        assert _run(2, False, 4_000)[0] == reference
-        assert _run(1, True, 4_000)[0] == reference
-        assert _run(2, True, 4_000)[0] == reference
+        reference, _ = _run(1, 4_000)
+        assert _run(2, 4_000, executor="serial")[0] == reference
+        assert _run(2, 4_000)[0] == reference
 
     def test_serial_and_fork_elided_agree(self):
-        serial, serial_sync = _run(2, True, 4_000, executor="serial")
-        fork, fork_sync = _run(2, True, 4_000, executor="fork")
+        serial, serial_sync = _run(2, 4_000, executor="serial")
+        fork, fork_sync = _run(2, 4_000, executor="fork")
         assert serial == fork
         # Executor-exact, bytes included: records are packed at
         # production time and the wire form excludes address-space-local
@@ -451,15 +457,57 @@ class TestElisionParity:
         # measure identical blobs.
         assert serial_sync == fork_sync
 
+    def test_pipe_transport_matches_in_process(self):
+        """The forked worker's pipe loop, run on two threads over real
+        pipes in this process: the same schedules rehydrating records
+        from frames land on the in-process counters, sync included."""
+        serial = _build_pingpong(2, 4_000)
+        serial.run(until=300_000)
+        serial.drain()
+        piped = _build_pingpong(2, 4_000)
+        a, b = Pipe()
+        conns = [{1: a}, {0: b}]
+        errors = []
+
+        def worker(index):
+            try:
+                for horizon in (300_000, None):
+                    run_over_pipes(
+                        piped._schedules[index], conns[index], horizon
+                    )
+            except Exception as exc:  # surface it, unblock the peer
+                errors.append(exc)
+                conns[index][1 - index].close()
+
+        threads = [
+            threading.Thread(target=worker, args=(i,), daemon=True)
+            for i in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not errors and not any(t.is_alive() for t in threads)
+        for mine, theirs in zip(piped.shards, serial.shards):
+            assert _collect(mine) == _collect(theirs)
+            assert mine.network.sync.as_dict() == (
+                theirs.network.sync.as_dict()
+            )
+
     def test_elision_actually_elides(self):
-        _, classic_sync = _run(2, False, 4_000)
-        _, elided_sync = _run(2, True, 4_000)
-        assert elided_sync["windows_elided"] > 0
-        assert elided_sync["rounds"] < classic_sync["rounds"] * 0.8
+        horizon = 300_000
+        system = _build_pingpong(2, 4_000)
+        system.run(until=horizon)
+        syncs = [shard.network.sync for shard in system.shards]
+        assert all(sync.windows_elided > 0 for sync in syncs)
+        # The static cadence meets pair (0, 1) every 4 ms period up to
+        # the horizon; run-ahead skips meetings when nothing is due.
+        static_rounds = 2 * (horizon // 4_000)
+        assert sum(sync.rounds for sync in syncs) < static_rounds * 0.8
 
     def test_resumed_horizons_match_a_single_run(self):
-        single = _run(2, True, 4_000, executor="serial")[0]
-        system = _build_pingpong(2, True, 4_000)
+        single = _run(2, 4_000, executor="serial")[0]
+        system = _build_pingpong(2, 4_000)
         system.run(until=140_000)
         system.run(until=300_000)
         system.drain()
@@ -479,8 +527,8 @@ class TestElisionParity:
         resuming must not replay a meeting or re-execute a window: the
         runner persists the agreed schedule and the completed clock, so
         chopped-up horizons land on the identical counters."""
-        single = _run(2, True, 4_000, executor="serial")[0]
-        system = _build_pingpong(2, True, 4_000)
+        single = _run(2, 4_000, executor="serial")[0]
+        system = _build_pingpong(2, 4_000)
         for until in (7_919, 53_147, 147_001, 300_000):
             system.run(until=until)
         system.drain()
@@ -503,15 +551,13 @@ class TestElisionParity:
         class _Inert:
             pass
 
-        runner = ElidedSerialRunner(
-            [_Inert(), _Inert()], 1_000, {(0, 1): 1_000}
-        )
-        runner._last_met[(0, 1)] = 4_000
+        schedule = ShardSchedule(0, _Inert(), 1_000, {(0, 1): 1_000}, 2)
+        schedule._last_met[(0, 1)] = 4_000
         with pytest.raises(SimulationError, match="replay"):
-            runner.run(horizon=2_000)
+            next(schedule.steps(2_000))
 
     def test_shards_1_elided_never_packs_a_blob(self):
-        _, sync = _run(1, True, 4_000)
+        _, sync = _run(1, 4_000)
         assert sync == SyncStats().as_dict()
 
 
@@ -521,18 +567,16 @@ class TestElisionParity:
 
 
 class TestLivePayloadsUnderElision:
-    """Elision used to require picklable cross-shard payloads even in
-    one process.  Records are now packed into a capture envelope — an
-    unpicklable payload gets a deterministic surrogate for the byte
-    accounting while the *original* live object crosses shards in the
-    serial executors."""
+    """Records are packed into a capture envelope — an unpicklable
+    payload gets a deterministic surrogate for the byte accounting while
+    the *original* live object crosses shards in the serial executor."""
 
     @staticmethod
-    def _migrating(elide):
+    def _migrating(shards):
         system = ShardedSystem(SystemConfig(
-            machines=8, topology="torus", latency=1_000, shards=2,
+            machines=8, topology="torus", latency=1_000, shards=shards,
             trace_categories=(), metrics_enabled=False,
-            barrier_elision=elide, backbone_latency=4_000,
+            backbone_latency=4_000,
         ))
         progress = []
 
@@ -542,7 +586,7 @@ class TestLivePayloadsUnderElision:
                 progress.append(ctx.machine)
 
         pid = system.spawn(worker, machine=0, name="subject")
-        dest = system.shards[1].machines[0]
+        dest = 4  # the first machine of shard 1 when shards=2
         ticket = system.migrate(pid, dest)
         system.run(until=2_000_000)
         merged = {
@@ -558,14 +602,12 @@ class TestLivePayloadsUnderElision:
 
     def test_live_generator_migration_parity(self):
         # The migrating process's generator frame is live (it closes
-        # over `progress`); the move must work under elision and land
-        # on the classic sharded counters.
-        assert self._migrating(elide=True) == self._migrating(
-            elide=False
-        )
+        # over `progress`); the move must cross the shard boundary and
+        # land on the single-shard counters.
+        assert self._migrating(shards=2) == self._migrating(shards=1)
 
     def test_fork_still_rejects_live_cross_shard_payloads(self):
-        system = _build_pingpong(shards=2, elide=True, backbone=4_000)
+        system = _build_pingpong(shards=2, backbone=4_000)
         gen = (x for x in range(3))
         system.schedule_spawn(
             40_000, 0,

@@ -2,7 +2,7 @@
 
 The determinism argument in :mod:`repro.sim.barrier` makes three load-
 bearing claims that deserve adversarial inputs rather than examples:
-per-sender FIFO survives the barrier handoff, same-tick wakeups batch
+per-sender FIFO survives the rendezvous handoff, same-tick wakeups batch
 identically on both sides of a shard boundary, and the whole observable
 state is a function of the scenario alone — never of the shard count.
 Plus one regression: a process that migrates across a shard boundary
@@ -17,7 +17,7 @@ from repro.kernel.ids import ProcessAddress
 from repro.kernel.messages import MessageKind
 from repro.net.channel import FaultPlan
 from repro.sim.shard import ShardedSystem
-from repro.stats.collector import collect_sharded_report
+from repro.stats.collector import collect_report
 from repro.workloads.pingpong import echo_server, pinger
 from repro.workloads.results import ResultsBoard
 
@@ -130,7 +130,8 @@ class TestSameTickWakeups:
                     name=f"w{tag}",
                 )
             system.drain()
-            report = collect_sharded_report(system).to_dict()
+            report = collect_report(system).to_dict()
+            del report["sync_overhead"]  # a function of the shard count
             return sorted(posts), arrivals, report, system.events_fired()
 
         assert run(1) == run(2)
@@ -177,7 +178,8 @@ class TestShardCountInvariance:
                     name=f"pinger-{index}",
                 )
             system.drain()
-            report = collect_sharded_report(system).to_dict()
+            report = collect_report(system).to_dict()
+            del report["sync_overhead"]  # a function of the shard count
             rounds = sorted(
                 (key, entry["round"], entry["server_machine"])
                 for board in boards
@@ -227,74 +229,102 @@ class TestMigrationMidRequest:
         assert system.where_is(pid) == 3
 
 
+def _delivery_order(
+    shape, shard_count, faults, seed, executor="serial",
+):
+    """Per-machine hop-record delivery order of a ping-pong scenario,
+    captured inside each shard and returned through ``execute``."""
+    topology, machines, _, backbone = shape
+    system = ShardedSystem(SystemConfig(
+        machines=machines, topology=topology, latency=1_000,
+        shards=shard_count, backbone_latency=backbone,
+        faults=faults, seed=seed,
+        trace_categories=(), metrics_enabled=False,
+    ))
+    captured = [{} for _ in system.shards]
+
+    for shard in system.shards:
+        def record_hook(record, _seen=captured[shard.index]):
+            packet = record.packet
+            _seen.setdefault(record.dst, []).append((
+                record.arrival, record.src, record.dst,
+                record.wire_seq, packet.kind.value, packet.seq,
+                packet.payload_bytes,
+            ))
+
+        shard.network.on_record_delivered = record_hook
+    for m in range(machines):
+        system.spawn(
+            lambda ctx, _m=m: echo_server(
+                ctx, service_name=f"svc-{_m}",
+            ),
+            machine=m,
+        )
+    for m in range(0, machines, 2):
+        client = (m + 3) % machines
+        system.schedule_spawn(
+            5_000 + 900 * m, client,
+            lambda ctx, _m=m: pinger(
+                ctx, service_name=f"svc-{_m}", rounds=3,
+                gap=2_000, board=ResultsBoard(), key="p",
+            ),
+        )
+    parts = system.execute(
+        250_000, lambda shard: captured[shard.index], executor=executor,
+    )
+    return {m: seen for part in parts for m, seen in part.items()}
+
+
+ORDER_SHAPES = [
+    ("torus", 8, 2, None),
+    ("torus", 8, 2, 4_000),
+    ("torus", 16, 4, 2_000),
+    ("torus", 16, 4, None),
+    ("cliques", 8, 2, 3_000),
+    ("cliques", 16, 4, 2_000),
+    ("mesh", 8, 2, None),
+]
+
+
 class TestElisionOrderEquivalence:
-    """Satellite claim of the barrier-elision engine: for any topology
-    and shard count, the two-level rendezvous schedule delivers every
-    hop record to every machine in exactly the order the classic
-    global-grid barrier would — bitwise, per machine."""
+    """For any topology and shard count, the run-ahead rendezvous
+    schedule delivers every hop record to every machine in exactly the
+    order ``shards=1`` does — bitwise, per machine (every committed
+    baseline pins the ``shards=1`` counters)."""
 
     @BOUNDED
     @given(
-        shape=st.sampled_from([
-            ("torus", 8, 2, None),
-            ("torus", 8, 2, 4_000),
-            ("torus", 16, 4, 2_000),
-            ("torus", 16, 4, None),
-            ("cliques", 8, 2, 3_000),
-            ("cliques", 16, 4, 2_000),
-            ("mesh", 8, 2, None),
-        ]),
+        shape=st.sampled_from(ORDER_SHAPES),
         faults=fault_plans,
         seed=seeds,
     )
     def test_elided_delivery_order_matches_classic(
         self, shape, faults, seed,
     ):
-        topology, machines, shards, backbone = shape
+        reference = _delivery_order(shape, 1, faults, seed)
+        assert _delivery_order(shape, shape[2], faults, seed) == reference
 
-        def run(shard_count, elide):
-            system = ShardedSystem(SystemConfig(
-                machines=machines, topology=topology, latency=1_000,
-                shards=shard_count, backbone_latency=backbone,
-                barrier_elision=elide, faults=faults, seed=seed,
-                trace_categories=(), metrics_enabled=False,
-            ))
-            deliveries = {m: [] for m in range(machines)}
-
-            def record_hook(record):
-                packet = record.packet
-                deliveries[record.dst].append((
-                    record.arrival, record.src, record.dst,
-                    record.wire_seq, packet.kind.value, packet.seq,
-                    packet.payload_bytes,
-                ))
-
-            for shard in system.shards:
-                shard.network.on_record_delivered = record_hook
-            for m in range(machines):
-                system.spawn(
-                    lambda ctx, _m=m: echo_server(
-                        ctx, service_name=f"svc-{_m}",
-                    ),
-                    machine=m,
-                )
-            for m in range(0, machines, 2):
-                client = (m + 3) % machines
-                system.schedule_spawn(
-                    5_000 + 900 * m, client,
-                    lambda ctx, _m=m: pinger(
-                        ctx, service_name=f"svc-{_m}", rounds=3,
-                        gap=2_000, board=ResultsBoard(), key="p",
-                    ),
-                )
-            system.run(until=250_000)
-            system.drain()
-            return deliveries
-
-        classic = run(1, elide=False)
-        assert run(shards, elide=True) == classic
-        # and the classic engine's own parity, with the hook attached
-        assert run(shards, elide=False) == classic
+    @settings(
+        max_examples=5,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        shape=st.sampled_from(
+            [shape for shape in ORDER_SHAPES if shape[2] == 2]
+        ),
+        faults=fault_plans,
+        seed=seeds,
+    )
+    def test_forked_delivery_order_matches_serial(
+        self, shape, faults, seed,
+    ):
+        """The same property across the fork boundary: two workers
+        rehydrating records from pipes deliver in the serial order."""
+        reference = _delivery_order(shape, 1, faults, seed)
+        assert _delivery_order(
+            shape, 2, faults, seed, executor="fork",
+        ) == reference
 
     @BOUNDED
     @given(
@@ -317,14 +347,13 @@ class TestElisionOrderEquivalence:
         bursts separated by long idle stretches (meetings get skipped
         wholesale) with the horizon chopped at arbitrary off-grid ticks
         (every re-entry re-arms the meeting schedule).  Delivery order
-        must still be bitwise the classic single-shard order."""
+        must still be bitwise the single-shard order."""
         topology, machines, shards, backbone = shape
 
-        def run(shard_count, elide, horizons):
+        def run(shard_count, horizons):
             system = ShardedSystem(SystemConfig(
                 machines=machines, topology=topology, latency=1_000,
-                shards=shard_count, backbone_latency=backbone,
-                barrier_elision=elide, seed=seed,
+                shards=shard_count, backbone_latency=backbone, seed=seed,
                 trace_categories=(), metrics_enabled=False,
             ))
             deliveries = {m: [] for m in range(machines)}
@@ -347,8 +376,8 @@ class TestElisionOrderEquivalence:
                     machine=m,
                 )
             # Three bursts, each a single exchange, `idle` apart: the
-            # inter-burst stretches are dead air the elided engine
-            # should cross without a rendezvous.
+            # inter-burst stretches are dead air the run-ahead
+            # schedule should cross without a rendezvous.
             for burst in range(3):
                 target = (2 * burst + 1) % machines
                 client = (target + machines // 2) % machines
@@ -366,6 +395,6 @@ class TestElisionOrderEquivalence:
 
         full = [400_000]
         chopped = sorted(set(cuts)) + full
-        classic = run(1, elide=False, horizons=full)
-        assert run(shards, elide=True, horizons=chopped) == classic
-        assert run(shards, elide=True, horizons=full) == classic
+        reference = run(1, horizons=full)
+        assert run(shards, horizons=chopped) == reference
+        assert run(shards, horizons=full) == reference
