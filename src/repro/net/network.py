@@ -23,6 +23,7 @@ from repro.net.stats import NetworkStats
 from repro.net.topology import MachineId, Topology
 from repro.sim.barrier import (
     HopRecord,
+    LocalHop,
     SyncStats,
     pack_record,
     record_entry_key,
@@ -257,7 +258,7 @@ class Network:
             channel = Channel(
                 self.loop,
                 wire,
-                deliver=lambda pkt, _here=b: self._hop_arrived(_here, pkt),
+                deliver=lambda pkt, _here=b: self._forward_from(_here, pkt),
                 faults=self._default_faults,
                 rng=self._rngs.stream(f"channel/{a}->{b}"),
                 on_drop=self._note_drop,
@@ -267,18 +268,27 @@ class Network:
         return channel
 
     def _forward_from(self, here: MachineId, packet: Packet) -> None:
-        destination = self.effective_destination(packet.dst)
+        """One routing step: hand *packet* to *here*'s transport if it
+        is the (possibly redirected) destination, else put it on the
+        wire to the next hop."""
+        destination = packet.dst
+        if self._redirects:
+            destination = self._redirects.get(destination, destination)
         if here == destination:
             self._transport(here).on_packet(packet)
             return
-        next_hop = self.topology.next_hop(here, destination)
-        self._channel(here, next_hop).transmit(packet)
+        self._transmit_hop(
+            here, self.topology.next_hop(here, destination), packet
+        )
 
-    def _hop_arrived(self, here: MachineId, packet: Packet) -> None:
-        if here == self.effective_destination(packet.dst):
-            self._transport(here).on_packet(packet)
-        else:
-            self._forward_from(here, packet)
+    def _transmit_hop(
+        self, here: MachineId, next_hop: MachineId, packet: Packet
+    ) -> None:
+        """Put *packet* on the wire from *here* to *next_hop*."""
+        channel = self._channels.get((here, next_hop))
+        if channel is None:
+            channel = self._channel(here, next_hop)
+        channel.transmit(packet)
 
     def _note_drop(self, packet: Packet) -> None:
         self.stats.note_drop()
@@ -303,27 +313,55 @@ class Network:
             )
 
 
+class _WireState:
+    """One directed wire as its source shard sees it.
+
+    Built on the wire's first transmit and never moved: the facts that
+    cannot change (destination shard, latency, bandwidth) sit beside
+    the state :meth:`Channel.transmit` keeps for a channel — the
+    serialisation horizon ``busy``, the monotone hop counter ``seq``
+    and the fault stream (``None`` on a perfect network).
+    """
+
+    __slots__ = ("dest_shard", "latency", "bandwidth", "busy", "seq", "rng")
+
+    def __init__(
+        self, dest_shard: int, latency: int, bandwidth: int, rng: Any
+    ) -> None:
+        self.dest_shard = dest_shard
+        self.latency = latency
+        self.bandwidth = max(bandwidth, 1)
+        self.busy = 0
+        self.seq = 0
+        self.rng = rng
+
+
 class ShardNetwork(Network):
     """The network facade for one shard of a sharded system.
 
     Same kernel-facing API as :class:`Network`, but it owns transports
     only for the shard's machines, and every wire transmit becomes a
-    :class:`~repro.sim.barrier.HopRecord` tagged with its production
-    window.  The loop must be a :class:`~repro.sim.loop.KeyedEventLoop`:
-    records are scheduled under their canonical key, which makes
-    injection timing irrelevant to delivery order (see
-    :mod:`repro.sim.barrier`).  So a hop whose next stop is in this
-    shard is scheduled immediately, and a hop bound for another shard
-    waits in that shard's outbox for the pair's next rendezvous, as a
-    ``(record, blob)`` entry — the blob pickled at production time
-    (:func:`~repro.sim.barrier.pack_record`), so byte accounting is
-    executor-exact and unpicklable payloads degrade to a capture
-    envelope instead of an error.
+    hop record tagged with its production window.  The loop must be a
+    :class:`~repro.sim.loop.KeyedEventLoop`: records are scheduled under
+    their canonical key, which makes injection timing irrelevant to
+    delivery order (see :mod:`repro.sim.barrier`).  So a hop whose next
+    stop is in this shard is scheduled immediately as a
+    :class:`~repro.sim.barrier.LocalHop`, and a hop bound for another
+    shard waits in that shard's outbox for the pair's next rendezvous,
+    as a ``(record, blob)`` entry of a frozen
+    :class:`~repro.sim.barrier.HopRecord` and its blob, pickled at
+    production time (:func:`~repro.sim.barrier.pack_record`), so byte
+    accounting is executor-exact and unpicklable payloads degrade to a
+    capture envelope instead of an error.
 
-    Per-wire state — the serialisation horizon (``busy_until``), the
-    monotone hop counter, and the fault-injection stream — lives with
-    the wire's *source* shard, so it is touched by exactly one worker
-    and its evolution is shard-layout independent.
+    Per-wire state — destination shard, latency, bandwidth, the
+    serialisation horizon ``busy``, the monotone hop counter and the
+    fault-injection stream — is one :class:`_WireState` per directed
+    wire, created on the wire's first transmit.  It lives with the
+    wire's *source* shard, so it is touched by exactly one worker and
+    its evolution is shard-layout independent.  The fault plan is fixed
+    when the network is built (``set_faults`` refuses), so whether a
+    hop draws from a fault stream at all is decided once, here.
 
     Fail-stop takeover works, but only through
     :meth:`~repro.sim.shard.ShardedSystem.crash_transport`, which
@@ -365,18 +403,22 @@ class ShardNetwork(Network):
             )
         self.shard_index = shard_index
         self._grid = loop.grid
+        self._clock = loop.clock
         self.shard_of = shard_of
         self.machines = list(machines)
         #: sync-overhead counters the shard schedule fills in
         self.sync = SyncStats()
-        #: test hook: called with each delivered HopRecord (or None)
-        self.on_record_delivered: Callable[[HopRecord], None] | None = None
+        #: test hook: called with each delivered hop record (a
+        #: HopRecord or a LocalHop)
+        self.on_record_delivered: Callable[..., None] | None = None
         #: per destination shard: (record, blob) entries, the blob
         #: packed at production time (pack_record)
         self._outboxes: dict[int, list[tuple[HopRecord, bytes]]] = {}
-        self._wire_busy: dict[tuple[MachineId, MachineId], int] = {}
-        self._wire_seq: dict[tuple[MachineId, MachineId], int] = {}
-        self._wire_rngs: dict[tuple[MachineId, MachineId], Any] = {}
+        self._wires: dict[tuple[MachineId, MachineId], _WireState] = {}
+        #: the fault plan every wire draws from, None when it is perfect
+        self._faults: FaultPlan | None = (
+            None if self._default_faults.is_perfect else self._default_faults
+        )
         self._inbound_pending = 0
 
     # -- rendezvous handoff --------------------------------------------
@@ -398,32 +440,19 @@ class ShardNetwork(Network):
         entries.sort(key=record_entry_key)
         return entries
 
-    def receive_record(self, record: HopRecord) -> None:
+    def receive_record(self, record: HopRecord | LocalHop) -> None:
         """Schedule one hop at its arrival tick, under its record key
         (so the call order does not matter)."""
         self._inbound_pending += 1
         self.loop.schedule_record(record, self._record_arrived, record)
 
-    def _record_arrived(self, record: HopRecord) -> None:
+    def _record_arrived(self, record: HopRecord | LocalHop) -> None:
         self._inbound_pending -= 1
         if self.on_record_delivered is not None:
             self.on_record_delivered(record)
-        here = record.dst
-        packet = record.packet
-        if here == self.effective_destination(packet.dst):
-            self._transport(here).on_packet(packet)
-        else:
-            self._forward_from(here, packet)
+        self._forward_from(record.dst, record.packet)
 
     # -- hop transmission ----------------------------------------------
-
-    def _forward_from(self, here: MachineId, packet: Packet) -> None:
-        destination = self.effective_destination(packet.dst)
-        if here == destination:
-            self._transport(here).on_packet(packet)
-            return
-        next_hop = self.topology.next_hop(here, destination)
-        self._transmit_hop(here, next_hop, packet)
 
     def _transmit_hop(
         self, here: MachineId, next_hop: MachineId, packet: Packet
@@ -432,59 +461,66 @@ class ShardNetwork(Network):
 
         Same fault draws from the same named stream, same wire
         serialisation rule (a wire is serial: a packet cannot start
-        serialising before the previous one finished), but the arrival
-        is a record in the outbox instead of a scheduled event.
+        serialising before the previous one finished), same jitter, but
+        the arrival is a hop record instead of a scheduled callback.
         """
-        wire_key = (here, next_hop)
-        plan = self._default_faults
-        rng = None
-        if not plan.is_perfect:
-            rng = self._wire_rngs.get(wire_key)
-            if rng is None:
-                rng = self._rngs.stream(f"channel/{here}->{next_hop}")
-                self._wire_rngs[wire_key] = rng
+        wire = self._wires.get((here, next_hop))
+        if wire is None:
+            wire = self._open_wire(here, next_hop)
+        copies = 1
+        plan = self._faults
+        if plan is not None:
+            rng = wire.rng
             if (
                 plan.drop_probability
                 and rng.random() < plan.drop_probability
             ):
                 self._note_drop(packet)
                 return
-        copies = 1
-        if (
-            plan.duplicate_probability
-            and rng.random() < plan.duplicate_probability
-        ):
-            copies = 2
-            self._note_duplicate(packet)
-        wire = self.topology.wire(here, next_hop)
-        now = self.loop.now
-        serialization = packet.size_bytes * 1_000 // max(wire.bandwidth, 1)
-        busy = self._wire_busy.get(wire_key, 0)
-        seq = self._wire_seq.get(wire_key, 0)
+            if (
+                plan.duplicate_probability
+                and rng.random() < plan.duplicate_probability
+            ):
+                copies = 2
+                self._note_duplicate(packet)
+        now = self._clock._now
+        serialization = packet.size_bytes * 1_000 // wire.bandwidth
         # Tag the production window; a hop staying in this shard needs
         # no rendezvous at all — its key already places it.
         gen = now // self._grid
-        dest_shard = self.shard_of(next_hop)
-        direct = dest_shard == self.shard_index
         for _ in range(copies):
-            departs = max(now, busy) + serialization
-            busy = departs
-            delay = departs - now + wire.latency
-            if plan.max_jitter:
-                delay += rng.randint(0, plan.max_jitter)
-            seq += 1
-            record = HopRecord(now + delay, here, next_hop, seq, packet, gen)
-            if direct:
-                self.receive_record(record)
+            busy = wire.busy
+            departs = (busy if busy > now else now) + serialization
+            wire.busy = departs
+            arrival = departs + wire.latency
+            if plan is not None and plan.max_jitter:
+                arrival += wire.rng.randint(0, plan.max_jitter)
+            seq = wire.seq = wire.seq + 1
+            if wire.dest_shard == self.shard_index:
+                self.receive_record(
+                    LocalHop(arrival, here, next_hop, seq, packet, gen)
+                )
             else:
                 # Pack the wire blob *now*: the producing shard's state
                 # at this instant is executor-independent, so counted
                 # bytes (and shipped bytes) are too.
-                self._outboxes.setdefault(dest_shard, []).append(
+                record = HopRecord(arrival, here, next_hop, seq, packet, gen)
+                self._outboxes.setdefault(wire.dest_shard, []).append(
                     (record, pack_record(record))
                 )
-        self._wire_busy[wire_key] = busy
-        self._wire_seq[wire_key] = seq
+
+    def _open_wire(self, here: MachineId, next_hop: MachineId) -> _WireState:
+        """The wire's state, built on its first transmit — which is
+        also when its fault stream is created, as a channel's is."""
+        spec = self.topology.wire(here, next_hop)
+        rng = None
+        if self._faults is not None:
+            rng = self._rngs.stream(f"channel/{here}->{next_hop}")
+        wire = _WireState(
+            self.shard_of(next_hop), spec.latency, spec.bandwidth, rng
+        )
+        self._wires[(here, next_hop)] = wire
+        return wire
 
     # -- diagnostics -----------------------------------------------------
 

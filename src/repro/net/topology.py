@@ -162,7 +162,9 @@ class Topology:
         routes = self._routes.get(src)
         if routes is None:
             routes = self._routes_from(src)
-        else:
+        elif self._route_cache_limit is not None:
+            # Recency only matters under a pinned cap: the adaptive
+            # bound holds one table per machine, so it never evicts.
             self._routes.move_to_end(src)
         hop = routes.get(dst)
         if hop is not None:

@@ -8,7 +8,8 @@ any machine before ``t + L``.  That is the conservative-PDES lookahead
 argument this module turns into a schedule.
 
 **Byte-identical for every shard count.**  Every inter-machine hop is a
-:class:`HopRecord` tagged with the grid window it was produced in
+record tagged with the grid window it was produced in — a
+:class:`HopRecord` across shards, a :class:`LocalHop` within one
 (``gen``; the grid is the minimum latency over *all* wires, so it does
 not depend on the partition).  The keyed event loop files a record
 under ``(gen, src, dst, wire_seq)`` rather than under its injection
@@ -72,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True, slots=True)
 class HopRecord:
-    """One packet hop travelling along one wire.
+    """One packet hop travelling along one wire between two shards.
 
     ``wire_seq`` is a per-directed-wire monotone counter owned by the
     wire's source shard; together with ``(arrival, src, dst)`` it gives
@@ -80,6 +81,12 @@ class HopRecord:
     layout.  ``gen`` is the grid window the hop was *produced* in — the
     slot the keyed event loop files it under, so a record can be
     injected at any rendezvous without moving in the order.
+
+    Only cross-shard hops are HopRecords.  They are frozen because the
+    wire blob is packed the moment the record is made
+    (:func:`pack_record`), and the serial transport later hands over the
+    live record in the blob's place: the two must never differ.  A hop
+    that stays inside its shard is a :class:`LocalHop` instead.
     """
 
     arrival: int  #: simulated time the hop completes at ``dst``
@@ -100,6 +107,35 @@ class HopRecord:
     def __setstate__(self, state: tuple) -> None:
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
+
+
+class LocalHop:
+    """A hop whose both ends sit in one shard: the fields of a
+    :class:`HopRecord`, in a plain slots class.
+
+    Nearly every hop is one of these.  It is scheduled the moment it is
+    made and read once when it arrives; it is never packed, never sent
+    through a pipe and never sorted into an outbox, so it needs neither
+    the frozen dataclass's immutability nor its construction cost.
+    """
+
+    __slots__ = ("arrival", "src", "dst", "wire_seq", "packet", "gen")
+
+    def __init__(
+        self,
+        arrival: int,
+        src: int,
+        dst: int,
+        wire_seq: int,
+        packet: Any,
+        gen: int,
+    ) -> None:
+        self.arrival = arrival
+        self.src = src
+        self.dst = dst
+        self.wire_seq = wire_seq
+        self.packet = packet
+        self.gen = gen
 
 
 #: Canonical record order (see module docstring).

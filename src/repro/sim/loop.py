@@ -314,13 +314,14 @@ class KeyedEventLoop(EventLoop):
     ) -> ScheduledEvent:
         """Schedule a hop-record delivery under its canonical key.
 
-        *record* is a :class:`~repro.sim.barrier.HopRecord` (duck-typed
-        to avoid the import cycle); the key is derived entirely from
+        *record* is a :class:`~repro.sim.barrier.HopRecord` or
+        :class:`~repro.sim.barrier.LocalHop` (duck-typed, which also
+        avoids the import cycle); the key is derived entirely from
         its fields, so injecting the same records in any order — or at
         any barrier — yields the same heap order.
         """
         time = record.arrival
-        if time < self.clock.now:
+        if time < self.clock._now:
             raise ClockError(
                 f"cannot schedule at {time}, clock already at {self.clock.now}"
             )
